@@ -352,7 +352,10 @@ def read_trace(path: str | Path) -> tuple[TraceEvent, ...]:
 
 def load_watchdog_config(path: str | Path) -> WatchdogConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"watchdog config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"watchdog config {path}: expected a JSON object")
     known = {"pulse_period", "timeout", "processes"}
@@ -365,6 +368,10 @@ def load_watchdog_config(path: str | Path) -> WatchdogConfig:
     if "timeout" in raw:
         kwargs["timeout"] = _as_count(raw["timeout"], "timeout")
     if "processes" in raw:
+        if not isinstance(raw["processes"], list):
+            raise ValueError(
+                f"watchdog config {path}: processes must be a list, got {raw['processes']!r}"
+            )
         procs = []
         for rp in raw["processes"]:
             if not (isinstance(rp, dict) and set(rp) == {"name", "severity"}):
@@ -384,7 +391,10 @@ def save_watchdog_config(config: WatchdogConfig, path: str | Path) -> None:
 
 def load_fault_script(path: str | Path) -> FaultScript:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"fault script {path}: invalid JSON ({exc})") from exc
     if isinstance(raw, dict):
         raw = raw.get("windows", raw)
     if not isinstance(raw, list):

@@ -47,7 +47,10 @@ class DesignBounds:
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
                 raise ValueError(f"{name} bounds must be a (low, high) pair")
-            lo, hi = float(pair[0]), float(pair[1])
+            try:
+                lo, hi = float(pair[0]), float(pair[1])
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} bounds must be numbers, got {pair!r}") from None
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
                 raise ValueError(f"{name} bounds must satisfy 0 < low < high, got {pair!r}")
             object.__setattr__(self, name, (lo, hi))
@@ -292,8 +295,10 @@ def load_bounds(path: str | Path) -> DesignBounds:
     missing = [k for k in _GENE_NAMES if k not in raw]
     if missing:
         raise ValueError(f"bounds file {path}: missing key(s) {', '.join(missing)}")
-    return DesignBounds(f=tuple(raw["f"]), e=tuple(raw["e"]),
-                        r_f=tuple(raw["rf"]), r_e=tuple(raw["re"]))
+    try:
+        return DesignBounds(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
+    except ValueError as exc:
+        raise ValueError(f"bounds file {path}: {exc}") from exc
 
 
 def load_ga_config(path: str | Path) -> GaConfig:

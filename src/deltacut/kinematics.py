@@ -8,15 +8,20 @@ plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics intersects the
 three forearm spheres after shifting their centres to the platform centroid.
 
-The accept/reject arithmetic in _solve_arm_yz is mirrored op for op by the
-vectorised mask in workspace.py.  Keep the two in lockstep: only +, -, *, /,
-sqrt and comparisons are used on the decision path, so identical operation
-order guarantees bit-identical verdicts between scalar and array scans.
+_arm_kernel is the only place that solves an arm.  It runs on Python floats
+(with math.sqrt and a conditional select) or on numpy arrays (with np.sqrt
+and np.where).  Its decision path uses only +, -, *, /, sqrt, comparisons
+and selects, all correctly rounded in both modes, so scalar IK, workspace
+scans and batch planning reach bit-identical verdicts and knees.  Joint
+angles always come from math.atan2, also for arrays: np.arctan2 can differ
+by one ulp and would move the frozen streams.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NoSolution, Singular, Unreachable
 from .geometry import ArmSolution, JointAngles, Pose, RobotGeometry, THETA_MAX, THETA_MIN
@@ -34,44 +39,58 @@ DISC_TOL_FRAC = 1e-12
 # Relative rank tolerance for the forward-kinematics plane system.
 RANK_TOL = 1e-12
 
+# Unreachable reasons, in the order _arm_kernel returns its failure flags.
+REASONS = (
+    "forearm sphere does not reach the arm plane",
+    "platform joint coincides with the arm pivot",
+    "knee circle does not meet the forearm circle",
+    "knee angle outside the canonical branch",
+)
 
-def _solve_arm_yz(
-    a: float, b: float, r_f: float, r_e: float,
-    xp: float, yp: float, zp: float, arm_index: int,
-) -> tuple[float, float, float]:
-    """Solve one arm in its own frame; returns (theta, knee_y, knee_z).
 
-    Mirrored by workspace._reachable_mask; change both together.
+def _pick(cond, if_true, if_false):
+    """Scalar counterpart of np.where."""
+    return if_true if cond else if_false
+
+
+def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
+    """Solve one arm for world poses (x, y, z), scalars or arrays alike.
+
+    Returns (flags, sin_c, cos_c, knee_y, knee_z): flags holds one failure
+    flag per entry of REASONS, in check order; the rest is meaningful only
+    where no flag is set.  theta = atan2(sin_c, cos_c).
     """
+    a = geometry.a
+    b = geometry.b
+    r_f = geometry.r_f
+    r_e = geometry.r_e
     tol = DISC_TOL_FRAC * (r_e * r_e)
+    c = ARM_COS[arm_index - 1]
+    s = ARM_SIN[arm_index - 1]
+    xp = x * c - y * s
+    yp = x * s + y * c
 
     # Forearm sphere cut by the arm plane x = 0: a circle of squared radius
     # rc2 about the projected platform joint.
     rc2 = r_e * r_e - xp * xp
-    if rc2 < -tol:
-        raise Unreachable(arm_index, "forearm sphere does not reach the arm plane")
-    if rc2 < 0.0:
-        rc2 = 0.0
+    plane_miss = rc2 < -tol
+    rc2 = select(rc2 < 0.0, 0.0, rc2)
 
-    # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (yp - b, zp), radius
+    # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (yp - b, z), radius
     # sqrt(rc2).  dy, dz point from the pivot to the platform joint.
     ey = yp - b
     dy = ey + a
-    dz = zp
+    dz = z
     d2 = dy * dy + dz * dz
-    if d2 <= 0.0:
-        raise Unreachable(arm_index, "platform joint coincides with the arm pivot")
-    d = math.sqrt(d2)
+    coincident = d2 <= 0.0
+    d = sqrt(select(coincident, 1.0, d2))
 
     # Distance from the pivot to the chord along the centre line, and the
-    # half-chord length.
+    # half-chord length.  An overflowed d2 makes t NaN, which counts as a miss.
     t = (d2 + r_f * r_f - rc2) / (2.0 * d)
     h2 = r_f * r_f - t * t
-    if h2 < -tol:
-        raise Unreachable(arm_index, "knee circle does not meet the forearm circle")
-    if h2 < 0.0:
-        h2 = 0.0
-    h = math.sqrt(h2)
+    knee_miss = select(h2 >= -tol, False, True)
+    h = sqrt(select(h2 < 0.0, 0.0, h2))
 
     uy = dy / d
     uz = dz / d
@@ -81,55 +100,43 @@ def _solve_arm_yz(
     oz = h * uy
 
     # Elbow-out branch: smaller knee y; on a y tie prefer the lower knee.
-    if oy < 0.0 or (oy == 0.0 and oz <= 0.0):
-        yj = ky + oy
-        zj = kz + oz
-    else:
-        yj = ky - oy
-        zj = kz - oz
+    take_plus = (oy < 0.0) | ((oy == 0.0) & (oz <= 0.0))
+    yj = select(take_plus, ky + oy, ky - oy)
+    zj = select(take_plus, kz + oz, kz - oz)
 
     # theta measured from the horizontal, positive knee-down; the upper arm
     # points from the pivot to the knee along (-cos, -sin).
     sin_c = -zj
     cos_c = -(yj + a)
-    if (sin_c < 0.0 and cos_c <= 0.0) or (sin_c == 0.0 and cos_c < 0.0):
-        raise Unreachable(arm_index, "knee angle outside the canonical branch")
-    theta = math.atan2(sin_c, cos_c)
-    return theta, yj, zj
+    folded = ((sin_c < 0.0) & (cos_c <= 0.0)) | ((sin_c == 0.0) & (cos_c < 0.0))
+    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c, yj, zj
+
+
+def _solve_arm(geometry: RobotGeometry, pose: Pose, arm_index: int):
+    """Scalar arm solution (theta, knee_y, knee_z); raises Unreachable."""
+    flags, sin_c, cos_c, yj, zj = _arm_kernel(
+        geometry, pose.x, pose.y, pose.z, arm_index, math.sqrt, _pick
+    )
+    if any(flags):
+        raise Unreachable(arm_index, REASONS[flags.index(True)])
+    return math.atan2(sin_c, cos_c), yj, zj
 
 
 def solve_arm_angle(geometry: RobotGeometry, pose: Pose, arm_index: int) -> ArmSolution:
     """Inverse kinematics for a single arm; raises Unreachable on failure."""
     if arm_index not in (1, 2, 3):
         raise ValueError(f"arm_index must be 1, 2 or 3, got {arm_index!r}")
-    c = ARM_COS[arm_index - 1]
-    s = ARM_SIN[arm_index - 1]
-    xp = pose.x * c - pose.y * s
-    yp = pose.x * s + pose.y * c
-    theta, yj, zj = _solve_arm_yz(
-        geometry.a, geometry.b, geometry.r_f, geometry.r_e, xp, yp, pose.z, arm_index
-    )
+    theta, yj, zj = _solve_arm(geometry, pose, arm_index)
     return ArmSolution(arm_index=arm_index, theta=theta, knee=(yj, zj))
 
 
 def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
     """Joint angles reaching the pose; raises Unreachable naming the arm."""
-    a = geometry.a
-    b = geometry.b
-    r_f = geometry.r_f
-    r_e = geometry.r_e
-    x = pose.x
-    y = pose.y
-    z = pose.z
-    thetas = []
-    for arm in (1, 2, 3):
-        c = ARM_COS[arm - 1]
-        s = ARM_SIN[arm - 1]
-        xp = x * c - y * s
-        yp = x * s + y * c
-        theta, _, _ = _solve_arm_yz(a, b, r_f, r_e, xp, yp, z, arm)
-        thetas.append(theta)
-    return JointAngles(thetas[0], thetas[1], thetas[2])
+    return JointAngles(
+        _solve_arm(geometry, pose, 1)[0],
+        _solve_arm(geometry, pose, 2)[0],
+        _solve_arm(geometry, pose, 3)[0],
+    )
 
 
 def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
@@ -139,6 +146,41 @@ def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
     except Unreachable:
         return False
     return True
+
+
+def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
+    """Array mode of _arm_kernel: (unreachable, sin_c, cos_c) per pose."""
+    flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.where)
+    plane_miss, coincident, knee_miss, folded = flags
+    return plane_miss | coincident | knee_miss | folded, sin_c, cos_c
+
+
+def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
+    """Exact reachability of the poses (x, y, z); the arrays broadcast."""
+    bad = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)), dtype=bool)
+    for arm in (1, 2, 3):
+        # Keeping one arm's arrays until the next arm's call returns lets the
+        # allocator reuse their pages; dropping them at once makes it return
+        # the pages to the OS, which more than doubles a scan's page faults.
+        result = _arm_many(geometry, x, y, z, arm)
+        bad |= result[0]
+    return ~bad
+
+
+def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
+    """Joint angles for an (n, 3) array of poses, and a reachable flag per pose.
+
+    Rows of reachable poses equal inverse_kinematics bit for bit; the other
+    rows hold no meaningful angles.
+    """
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    joints = np.empty(points.shape, dtype=np.float64)
+    bad = np.zeros(points.shape[0], dtype=bool)
+    for arm in (1, 2, 3):
+        arm_bad, sin_c, cos_c = _arm_many(geometry, x, y, z, arm)
+        bad |= arm_bad
+        joints[:, arm - 1] = list(map(math.atan2, sin_c.tolist(), cos_c.tolist()))
+    return joints, ~bad
 
 
 def _det3(r0, r1, r2) -> float:

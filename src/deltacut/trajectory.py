@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample, Unreachable
 from .geometry import Pose, RobotGeometry
-from .kinematics import inverse_kinematics
+from .kinematics import inverse_kinematics, inverse_kinematics_many
 
 _CSV_HEADER = ("t", "x", "y", "z", "theta1", "theta2", "theta3", "laser")
 _ARC_RADIUS_TOL = 1e-6
@@ -228,21 +228,13 @@ class _ArcPath:
         self.a0 = math.atan2(p0[1] - cy, p0[0] - cx)
         a1 = math.atan2(seg.end[1] - cy, seg.end[0] - cx)
         two_pi = 2.0 * math.pi
+        cw = seg.direction == "cw"
         if math.dist((p0[0], p0[1]), seg.end) <= _FULL_CIRCLE_TOL:
             sweep = two_pi
         else:
-            sweep = (a1 - self.a0) % two_pi
-            if sweep == 0.0:
-                sweep = two_pi
-        if seg.direction == "cw":
-            if math.dist((p0[0], p0[1]), seg.end) <= _FULL_CIRCLE_TOL:
-                sweep = two_pi
-            else:
-                sweep = (self.a0 - a1) % two_pi
-                if sweep == 0.0:
-                    sweep = two_pi
-            sweep = -sweep
-        self.sweep = sweep
+            # Directed angle from start to end, in (0, 2*pi].
+            sweep = ((self.a0 - a1) if cw else (a1 - self.a0)) % two_pi or two_pi
+        self.sweep = -sweep if cw else sweep
         self.length = self.radius * abs(sweep)
         self.p1 = (seg.end[0], seg.end[1], z)
 
@@ -345,17 +337,6 @@ class SetpointStream:
         return self.t.shape[0]
 
 
-def _sample_times(profile: MotionProfile, tick: float) -> tuple[int, float]:
-    """Number of whole-tick samples and the exact end time of a motion.
-
-    Sample count is ceil(total/tick) + 1 including the clamped final sample;
-    the small slack tolerates one-ulp noise when total is an exact multiple
-    of the tick.
-    """
-    steps = math.ceil(profile.total_time / tick - 1e-12)
-    return steps, profile.total_time
-
-
 def plan_program(
     geometry: RobotGeometry,
     program: CutProgram,
@@ -377,7 +358,10 @@ def plan_program(
     for motion in motions:
         if prev_end_t is not None:
             start_tick = math.floor(prev_end_t / tick + 1e-12) + 1
-        steps, total = _sample_times(motion.profile, tick)
+        total = motion.profile.total_time
+        # ceil(total/tick) whole-tick samples plus the clamped final one; the
+        # slack tolerates one-ulp noise when total is an exact tick multiple.
+        steps = math.ceil(total / tick - 1e-12)
         for k in range(steps):
             t_local = k * tick
             s = motion.profile.position(t_local)
@@ -390,20 +374,21 @@ def plan_program(
         laser.append(motion.laser_on)
         prev_end_t = end_t
 
-    joints = np.empty((len(times), 3), dtype=np.float64)
-    for i, (x, y, z) in enumerate(poses):
-        pose = Pose(x, y, z)
+    pose_array = np.array(poses, dtype=np.float64)
+    joints, reachable = inverse_kinematics_many(geometry, pose_array)
+    if not reachable.all():
+        # The scalar solver shares the kernel, so it fails here too and
+        # names the arm and the reason.
+        i = int(np.argmin(reachable))
+        pose = Pose(*poses[i])
         try:
-            j = inverse_kinematics(geometry, pose)
+            inverse_kinematics(geometry, pose)
         except Unreachable as exc:
             raise UnreachableSample(times[i], pose, exc.arm_index) from exc
-        joints[i, 0] = j.theta1
-        joints[i, 1] = j.theta2
-        joints[i, 2] = j.theta3
 
     return SetpointStream(
         t=np.array(times, dtype=np.float64),
-        poses=np.array(poses, dtype=np.float64),
+        poses=pose_array,
         joints=joints,
         laser=np.array(laser, dtype=bool),
     )
@@ -475,22 +460,13 @@ def validate_stream(
     dj = np.abs(np.diff(stream.joints, axis=0)).max(axis=1) if len(stream) > 1 else np.zeros(0)
     max_joint_step = float(dj.max()) if dj.size else 0.0
 
-    max_res = 0.0
-    for i in range(len(stream)):
-        pose = Pose(float(p[i, 0]), float(p[i, 1]), float(p[i, 2]))
-        try:
-            j = inverse_kinematics(geometry, pose)
-        except Unreachable:
-            violations.append(Violation(i, "unreachable", math.inf, 0.0))
-            continue
-        res = max(
-            abs(j.theta1 - stream.joints[i, 0]),
-            abs(j.theta2 - stream.joints[i, 1]),
-            abs(j.theta3 - stream.joints[i, 2]),
-        )
-        if res > IK_RESIDUAL_TOL:
-            violations.append(Violation(i, "ik_residual", res, IK_RESIDUAL_TOL))
-        max_res = max(max_res, res)
+    joints, reachable = inverse_kinematics_many(geometry, p)
+    res = np.where(reachable, np.abs(joints - stream.joints).max(axis=1), 0.0)
+    max_res = float(res.max())
+    for i in np.nonzero(~reachable)[0]:
+        violations.append(Violation(int(i), "unreachable", math.inf, 0.0))
+    for i in np.nonzero(res > IK_RESIDUAL_TOL)[0]:
+        violations.append(Violation(int(i), "ik_residual", float(res[i]), IK_RESIDUAL_TOL))
 
     violations.sort(key=lambda v: (v.index, v.kind))
     return StreamReport(
@@ -568,6 +544,8 @@ def load_program(path: str | Path) -> CutProgram:
             raise ValueError(f"program file {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "contours" not in raw:
         raise ValueError(f"program file {path}: expected an object with 'contours'")
+    if not isinstance(raw["contours"], list):
+        raise ValueError(f"program file {path}: contours must be a list, got {raw['contours']!r}")
     contours = []
     for ci, rc in enumerate(raw["contours"]):
         if not isinstance(rc, dict):

@@ -1,9 +1,10 @@
 """Reachable-workspace scans: dense boolean grids and point-set coverage.
 
 Reachability is always an exact per-point test; a grid only decides where
-the test runs (cell centres).  The vectorised mask below repeats the scalar
-solver's decision arithmetic op for op, so grid scans, coverage fractions
-and kinematics.is_reachable can never disagree on a point.
+the test runs (cell centres).  Every test here goes through
+kinematics.reachable_mask, the array mode of the one arm kernel that scalar
+inverse kinematics also uses, so grid scans, coverage fractions and
+kinematics.is_reachable can never disagree on a point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded
 from .geometry import RobotGeometry
-from .kinematics import ARM_COS, ARM_SIN, DISC_TOL_FRAC
+from .kinematics import reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -114,10 +115,6 @@ class WorkspaceGrid:
     def occupied_count(self) -> int:
         return int(self.occupancy.sum())
 
-    def flat(self) -> np.ndarray:
-        """Row-major flattening: x fastest, z slowest."""
-        return self.occupancy.reshape(-1)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PrescribedWorkspace:
@@ -138,77 +135,23 @@ class PrescribedWorkspace:
         return self.points.shape[0]
 
 
-def _reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
-    """Vector twin of kinematics._solve_arm_yz's decision arithmetic.
-
-    Must stay op for op in lockstep with the scalar solver; only +, -, *, /,
-    sqrt and comparisons appear on the decision path, so identical order
-    gives bit-identical verdicts.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    a = geometry.a
-    b = geometry.b
-    r_f = geometry.r_f
-    r_e = geometry.r_e
-    tol = DISC_TOL_FRAC * (r_e * r_e)
-
-    ok = np.ones(x.shape, dtype=bool)
-    for c, s in zip(ARM_COS, ARM_SIN):
-        xp = x * c - y * s
-        yp = x * s + y * c
-
-        rc2 = r_e * r_e - xp * xp
-        arm_ok = rc2 >= -tol
-        rc2 = np.where(rc2 < 0.0, 0.0, rc2)
-
-        ey = yp - b
-        dy = ey + a
-        dz = z
-        d2 = dy * dy + dz * dz
-        arm_ok &= d2 > 0.0
-        d = np.sqrt(np.where(d2 > 0.0, d2, 1.0))
-
-        t = (d2 + r_f * r_f - rc2) / (2.0 * d)
-        h2 = r_f * r_f - t * t
-        arm_ok &= h2 >= -tol
-        h2 = np.where(h2 < 0.0, 0.0, h2)
-        h = np.sqrt(h2)
-
-        uy = dy / d
-        uz = dz / d
-        ky = -a + t * uy
-        kz = t * uz
-        oy = -(h * uz)
-        oz = h * uy
-
-        take_a = (oy < 0.0) | ((oy == 0.0) & (oz <= 0.0))
-        yj = np.where(take_a, ky + oy, ky - oy)
-        zj = np.where(take_a, kz + oz, kz - oz)
-
-        sin_c = -zj
-        cos_c = -(yj + a)
-        bad = ((sin_c < 0.0) & (cos_c <= 0.0)) | ((sin_c == 0.0) & (cos_c < 0.0))
-        ok &= arm_ok & ~bad
-    return ok
-
-
 def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     """Scan the grid; each flag is the exact reachability of the cell centre."""
-    nx, ny, nz = spec.dims
-    xs = spec.axis_centers("x")
-    ys = spec.axis_centers("y")
-    zs = spec.axis_centers("z")
-    zz, yy, xx = np.meshgrid(zs, ys, xs, indexing="ij")
-    mask = _reachable_mask(geometry, xx.reshape(-1), yy.reshape(-1), zz.reshape(-1))
-    return WorkspaceGrid(spec=spec, occupancy=mask.reshape(nz, ny, nx))
+    # Axis centres broadcast to the [iz, iy, ix] grid inside the kernel, so
+    # steps that do not depend on z run once per (y, x) column.
+    mask = reachable_mask(
+        geometry,
+        spec.axis_centers("x")[None, None, :],
+        spec.axis_centers("y")[None, :, None],
+        spec.axis_centers("z")[:, None, None],
+    )
+    return WorkspaceGrid(spec=spec, occupancy=mask)
 
 
 def coverage(geometry: RobotGeometry, prescribed: PrescribedWorkspace) -> float:
     """Fraction of prescribed points reachable, each tested exactly."""
     pts = prescribed.points
-    mask = _reachable_mask(geometry, pts[:, 0], pts[:, 1], pts[:, 2])
+    mask = reachable_mask(geometry, pts[:, 0], pts[:, 1], pts[:, 2])
     return float(mask.sum()) / float(len(prescribed))
 
 
@@ -310,4 +253,4 @@ def is_reachable_many(geometry: RobotGeometry, points: np.ndarray) -> np.ndarray
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be an (n, 3) array")
-    return _reachable_mask(geometry, pts[:, 0], pts[:, 1], pts[:, 2])
+    return reachable_mask(geometry, pts[:, 0], pts[:, 1], pts[:, 2])

@@ -176,3 +176,28 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
                 "--out", str(tmp_path / "trace.txt")])
     assert code == 1  # malformed stream is a domain failure, not a crash
     assert "InvalidStream" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base, flag, content, field", [
+    (["optimize", "--prescribed", "prescribed_mixed10.json"], "--bounds",
+     '{"f": [null, 1], "e": [40, 300], "rf": [60, 400], "re": [150, 700]}', "f bounds"),
+    (["simulate", "--stream", "line100_stream.csv"], "--config",
+     '{"processes": 5}', "processes"),
+    (["plan", "--geometry", "g0.json"], "--program", '{"contours": 3}', "contours"),
+    (["simulate", "--stream", "line100_stream.csv"], "--config",
+     '{"timeout": ', "invalid JSON"),
+    (["simulate", "--stream", "line100_stream.csv"], "--faults",
+     '{"windows": [', "invalid JSON"),
+])
+def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
+                                               base, flag, content, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    argv = [base[0], base[1], str(fixtures_dir / base[2]),
+            flag, str(bad), "--out", str(tmp_path / "out")]
+    assert app(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ValueError: ")
+    assert str(bad) in captured.err
+    assert field in captured.err
