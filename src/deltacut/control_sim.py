@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import UnknownProcess
+from .errors import UnknownProcess, read_json
 from .trajectory import SetpointStream
 
 SEVERITIES = ("critical", "degraded", "advisory")
@@ -351,13 +351,7 @@ def read_trace(path: str | Path) -> tuple[TraceEvent, ...]:
 
 
 def load_watchdog_config(path: str | Path) -> WatchdogConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"watchdog config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"watchdog config {path}: expected a JSON object")
+    raw = read_json(path, "watchdog config", expect_object=True)
     known = {"pulse_period", "timeout", "processes"}
     extra = set(raw) - known
     if extra:
@@ -390,11 +384,7 @@ def save_watchdog_config(config: WatchdogConfig, path: str | Path) -> None:
 
 
 def load_fault_script(path: str | Path) -> FaultScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"fault script {path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "fault script")
     if isinstance(raw, dict):
         raw = raw.get("windows", raw)
     if not isinstance(raw, list):

@@ -11,8 +11,9 @@ a documented stream layout, so runs are reproducible byte for byte:
                      (parent tournaments, crossover, mutation per offspring)
 
 Fitness evaluation consumes no randomness, so evaluation order cannot
-perturb results.  The uniform random-search baseline draws from
-SeedSequence([seed, _BASELINE_STREAM]).
+perturb results; each generation is scored by one population_fitness call.
+The uniform random-search baseline draws all its genomes at once from
+SeedSequence([seed, _BASELINE_STREAM]) and scores them in batches.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import as_number, read_json
 from .geometry import RobotGeometry
-from .workspace import PrescribedWorkspace, coverage
+# coverage stays importable from here: perfbench/worker.py traces the name.
+from .workspace import PAIR_BUDGET, PrescribedWorkspace, coverage, coverage_many  # noqa: F401
 
 INFEASIBLE_FITNESS = -1.0
 _BLEND_ALPHA = 0.1
@@ -99,11 +102,11 @@ class GaConfig:
         if not (isinstance(self.elitism_count, int)
                 and 0 <= self.elitism_count < self.population_size):
             raise ValueError("elitism_count must be in [0, population_size)")
-        if not 0.0 <= float(self.crossover_rate) <= 1.0:
+        if not 0.0 <= as_number("crossover_rate", self.crossover_rate) <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 < float(self.mutation_sigma_fraction) <= 1.0:
+        if not 0.0 < as_number("mutation_sigma_fraction", self.mutation_sigma_fraction) <= 1.0:
             raise ValueError("mutation_sigma_fraction must be in (0, 1]")
-        if not float(self.size_penalty_weight) >= 0.0:
+        if not as_number("size_penalty_weight", self.size_penalty_weight) >= 0.0:
             raise ValueError("size_penalty_weight must be >= 0")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
@@ -149,19 +152,39 @@ class GaResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def population_fitness(
+    genomes,
+    prescribed: PrescribedWorkspace,
+    size_penalty_weight: float,
+    bounds: DesignBounds,
+) -> np.ndarray:
+    """coverage - weight * (f + e + r_f + r_e) / (sum of upper bounds) per
+    (f, e, r_f, r_e) row; -1.0 where the geometry cannot be assembled."""
+    genomes = np.asarray(genomes, dtype=np.float64)
+    fits = np.full(len(genomes), INFEASIBLE_FITNESS)
+    feasible = []
+    geometries = []
+    for i, (f, e, r_f, r_e) in enumerate(genomes.tolist()):
+        try:
+            geometries.append(RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e))
+        except ValueError:
+            continue
+        feasible.append(i)
+    if feasible:
+        f, e, r_f, r_e = genomes[feasible].T
+        penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
+        fits[feasible] = coverage_many(geometries, prescribed) - penalty
+    return fits
+
+
 def candidate_fitness(
     genome,
     prescribed: PrescribedWorkspace,
     size_penalty_weight: float,
     bounds: DesignBounds,
 ) -> float:
-    """Coverage minus the normalised size penalty; -1.0 if unassemblable."""
-    f, e, r_f, r_e = (float(v) for v in genome)
-    try:
-        geometry = RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e)
-    except ValueError:
-        return INFEASIBLE_FITNESS
-    return fitness(geometry, prescribed, size_penalty_weight, bounds)
+    """population_fitness of one genome."""
+    return float(population_fitness([genome], prescribed, size_penalty_weight, bounds)[0])
 
 
 def fitness(
@@ -170,10 +193,9 @@ def fitness(
     size_penalty_weight: float,
     bounds: DesignBounds,
 ) -> float:
-    """coverage - weight * (f + e + r_f + r_e) / (sum of upper bounds)."""
-    size = geometry.f + geometry.e + geometry.r_f + geometry.r_e
-    penalty = size_penalty_weight * size / bounds.sum_upper()
-    return coverage(geometry, prescribed) - penalty
+    """population_fitness of one geometry."""
+    genome = (geometry.f, geometry.e, geometry.r_f, geometry.r_e)
+    return candidate_fitness(genome, prescribed, size_penalty_weight, bounds)
 
 
 def _rank(fits: np.ndarray) -> list[int]:
@@ -199,13 +221,7 @@ def run_ga(
     init_rng = np.random.default_rng(streams[0])
     population = init_rng.uniform(lo, hi, size=(pop_size, 4))
 
-    def evaluate(pop: np.ndarray) -> np.ndarray:
-        return np.array([
-            candidate_fitness(ind, prescribed, cfg.size_penalty_weight, bounds)
-            for ind in pop
-        ])
-
-    fits = evaluate(population)
+    fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
     history = [(float(fits.max()), float(fits.mean()))]
     evaluations = pop_size
     best_idx = _rank(fits)[0]
@@ -237,7 +253,7 @@ def run_ga(
             next_pop[slot] = np.clip(child, lo, hi)
 
         population = next_pop
-        fits = evaluate(population)
+        fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
         evaluations += pop_size
         history.append((float(fits.max()), float(fits.mean())))
         gen_best = _rank(fits)[0]
@@ -270,28 +286,25 @@ def random_search(
     if evaluations < 1:
         raise ValueError("evaluations must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _BASELINE_STREAM]))
-    lo = bounds.lower()
-    hi = bounds.upper()
+    # One draw of all rows gives the same stream as one draw per genome.
+    genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(evaluations, 4))
+    batch = max(1, PAIR_BUDGET // len(prescribed))
     best_genome = None
     best_fit = -math.inf
-    for _ in range(evaluations):
-        genome = rng.uniform(lo, hi)
-        fit = candidate_fitness(genome, prescribed, size_penalty_weight, bounds)
-        if fit > best_fit:
-            best_fit = fit
-            best_genome = genome
+    for start in range(0, evaluations, batch):
+        fits = population_fitness(genomes[start:start + batch], prescribed,
+                                  size_penalty_weight, bounds)
+        # The first strict maximum wins, as if genomes were scored one by one.
+        i = int(fits.argmax())
+        if fits[i] > best_fit:
+            best_fit = float(fits[i])
+            best_genome = genomes[start + i].copy()
     return best_genome, best_fit
 
 
 def load_bounds(path: str | Path) -> DesignBounds:
     """Read a bounds JSON file with keys f, e, rf, re -> [low, high] (mm)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bounds file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"bounds file {path}: expected a JSON object")
+    raw = read_json(path, "bounds file", expect_object=True)
     missing = [k for k in _GENE_NAMES if k not in raw]
     if missing:
         raise ValueError(f"bounds file {path}: missing key(s) {', '.join(missing)}")
@@ -303,15 +316,12 @@ def load_bounds(path: str | Path) -> DesignBounds:
 
 def load_ga_config(path: str | Path) -> GaConfig:
     """Read a GA config JSON file; absent keys keep their defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"config file {path}: expected a JSON object")
+    raw = read_json(path, "config file", expect_object=True)
     allowed = set(GaConfig().to_dict())
     unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"config file {path}: unknown key(s) {', '.join(sorted(unknown))}")
-    return GaConfig(**raw)
+    try:
+        return GaConfig(**raw)
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc

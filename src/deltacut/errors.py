@@ -1,4 +1,4 @@
-"""Error types shared across the toolkit.
+"""Error types and input checks shared across the toolkit.
 
 DomainError subclasses describe mechanisms or inputs that are internally
 consistent but cannot be satisfied (a pose outside the workspace, a fault
@@ -8,6 +8,27 @@ codes.
 """
 
 from __future__ import annotations
+
+import json
+
+
+def read_json(path, label: str, expect_object: bool = False):
+    """Parse a JSON file; bad syntax raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{label} {path}: invalid JSON ({exc})") from exc
+    if expect_object and not isinstance(raw, dict):
+        raise ValueError(f"{label} {path}: expected a JSON object")
+    return raw
+
+
+def as_number(name: str, value) -> float:
+    """value as a float; None, bools, strings and other non-numbers raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class DomainError(Exception):

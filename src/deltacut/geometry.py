@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import as_number, read_json
+
 _SQRT3 = math.sqrt(3.0)
 
 # Canonical joint range: theta = 0 puts the upper arm horizontal, positive
@@ -37,12 +39,13 @@ class RobotGeometry:
 
     def __post_init__(self):
         for name in ("f", "e", "r_f", "r_e"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = as_number(name, getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be a positive finite length, got {value!r}")
+            # The kinematics kernel squares every link; an infinite square
+            # would blind its tolerance checks.
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name}={value!r} is too long: its square overflows")
             object.__setattr__(self, name, value)
         reach = abs(self.a + self.r_f - self.b)
         if not self.r_e > reach:
@@ -80,10 +83,7 @@ class Pose:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = as_number(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -99,10 +99,7 @@ class JointAngles:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = as_number(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not (THETA_MIN < value < THETA_MAX):
@@ -130,17 +127,14 @@ class ArmSolution:
 
 def load_geometry(path: str | Path) -> RobotGeometry:
     """Read a geometry JSON file with keys f, e, rf, re (mm)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"geometry file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"geometry file {path}: expected a JSON object")
+    raw = read_json(path, "geometry file", expect_object=True)
     missing = [key for key in ("f", "e", "rf", "re") if key not in raw]
     if missing:
         raise ValueError(f"geometry file {path}: missing key(s) {', '.join(missing)}")
-    return RobotGeometry(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
+    try:
+        return RobotGeometry(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
+    except ValueError as exc:
+        raise ValueError(f"geometry file {path}: {exc}") from exc
 
 
 def save_geometry(geometry: RobotGeometry, path: str | Path) -> None:

@@ -10,11 +10,12 @@ three forearm spheres after shifting their centres to the platform centroid.
 
 _arm_kernel is the only place that solves an arm.  It runs on Python floats
 (with math.sqrt and a conditional select) or on numpy arrays (with np.sqrt
-and np.where).  Its decision path uses only +, -, *, /, sqrt, comparisons
-and selects, all correctly rounded in both modes, so scalar IK, workspace
-scans and batch planning reach bit-identical verdicts and knees.  Joint
-angles always come from math.atan2, also for arrays: np.arctan2 can differ
-by one ulp and would move the frozen streams.
+and np.where), where the link values may be arrays too.  Its decision path
+uses only +, -, *, /, sqrt, comparisons and selects, all correctly rounded
+in both modes, so scalar IK, workspace scans, batch planning and batch GA
+fitness reach bit-identical verdicts and knees.  Joint angles always come
+from math.atan2, also for arrays: np.arctan2 can differ by one ulp and would
+move the frozen streams.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def _pick(cond, if_true, if_false):
 
 def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
     """Solve one arm for world poses (x, y, z), scalars or arrays alike.
+
+    geometry supplies a, b, r_f and r_e: a RobotGeometry, or in array mode a
+    record of arrays, such as (m, 1) columns that broadcast m geometries.
 
     Returns (flags, sin_c, cos_c, knee_y, knee_z): flags holds one failure
     flag per entry of REASONS, in check order; the rest is meaningful only
@@ -156,8 +160,10 @@ def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
 
 
 def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
-    """Exact reachability of the poses (x, y, z); the arrays broadcast."""
-    bad = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)), dtype=bool)
+    """Exact reachability of the poses (x, y, z); the arrays broadcast, and
+    so do the geometry's link fields when they are arrays (see _arm_kernel)."""
+    shape = np.broadcast_shapes(np.shape(geometry.a), np.shape(x), np.shape(y), np.shape(z))
+    bad = np.zeros(shape, dtype=bool)
     for arm in (1, 2, 3):
         # Keeping one arm's arrays until the next arm's call returns lets the
         # allocator reuse their pages; dropping them at once makes it return

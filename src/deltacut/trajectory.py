@@ -12,14 +12,14 @@ each junction and timestamps stay strictly increasing.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample, Unreachable
+from .errors import (EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample, Unreachable,
+                     read_json)
 from .geometry import Pose, RobotGeometry
 from .kinematics import inverse_kinematics, inverse_kinematics_many
 
@@ -204,9 +204,6 @@ class _LinePath:
             self.p0[2] + u * (self.p1[2] - self.p0[2]),
         )
 
-    def end_point(self):
-        return self.p1
-
 
 class _ArcPath:
     __slots__ = ("center", "z", "radius", "a0", "sweep", "length", "p1")
@@ -245,9 +242,6 @@ class _ArcPath:
             self.center[1] + self.radius * math.sin(ang),
             self.z,
         )
-
-    def end_point(self):
-        return self.p1
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +292,7 @@ def build_motions(
                 laser_on=contour.laser_on,
                 rapid=False,
             ))
-            cursor = path.end_point()
+            cursor = path.p1
     return motions
 
 
@@ -370,7 +364,7 @@ def plan_program(
             laser.append(motion.laser_on)
         end_t = start_tick * tick + total
         times.append(end_t)
-        poses.append(motion.path.end_point())
+        poses.append(motion.path.p1)
         laser.append(motion.laser_on)
         prev_end_t = end_t
 
@@ -537,11 +531,7 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
 
 def load_program(path: str | Path) -> CutProgram:
     """Read a cut-program JSON file; schema documented in the README."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"program file {path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "program file")
     if not isinstance(raw, dict) or "contours" not in raw:
         raise ValueError(f"program file {path}: expected an object with 'contours'")
     if not isinstance(raw["contours"], list):

@@ -11,16 +11,24 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CellBudgetExceeded
+from .errors import CellBudgetExceeded, as_number, read_json
 from .geometry import RobotGeometry
 from .kinematics import reachable_mask
 
 CELL_BUDGET = 100_000_000
+
+# Most geometry x point pairs one coverage kernel call tests, so that peak
+# memory does not grow with the population or the point set.
+PAIR_BUDGET = 32_768
+
+# The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
+_LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
 
 _GRID_MAGIC = "deltacut-grid"
 _GRID_VERSION = 1
@@ -44,10 +52,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "resolution"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            value = float(value)
+            value = as_number(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
@@ -150,9 +155,24 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
 
 def coverage(geometry: RobotGeometry, prescribed: PrescribedWorkspace) -> float:
     """Fraction of prescribed points reachable, each tested exactly."""
+    return float(coverage_many([geometry], prescribed)[0])
+
+
+def coverage_many(geometries, prescribed: PrescribedWorkspace) -> np.ndarray:
+    """coverage() of each geometry, from kernel calls of at most PAIR_BUDGET pairs."""
     pts = prescribed.points
-    mask = reachable_mask(geometry, pts[:, 0], pts[:, 1], pts[:, 2])
-    return float(mask.sum()) / float(len(prescribed))
+    n = len(pts)
+    rows = max(1, PAIR_BUDGET // n)
+    cols = min(n, PAIR_BUDGET)
+    counts = np.zeros(len(geometries), dtype=np.int64)
+    for i in range(0, len(geometries), rows):
+        links = np.array([(g.a, g.b, g.r_f, g.r_e) for g in geometries[i:i + rows]])
+        columns = _LinkColumns(*links.T[:, :, None])
+        for j in range(0, n, cols):
+            part = pts[j:j + cols]
+            mask = reachable_mask(columns, part[:, 0], part[:, 1], part[:, 2])
+            counts[i:i + rows] += mask.sum(axis=1)
+    return counts / n
 
 
 def volume_estimate(grid: WorkspaceGrid) -> float:
@@ -227,11 +247,7 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
 
 def load_prescribed(path: str | Path) -> PrescribedWorkspace:
     """Read a prescribed-workspace JSON file: a list of [x, y, z] triples."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"prescribed file {path}: invalid JSON ({exc})") from exc
+    raw = read_json(path, "prescribed file")
     if isinstance(raw, dict) and "points" in raw:
         raw = raw["points"]
     if not isinstance(raw, list) or not raw:

@@ -30,6 +30,11 @@ from deltacut import (
     compute_workspace,
     GridSpec,
     is_reachable_many,
+    load_bounds,
+    load_ga_config,
+    load_prescribed,
+    random_search,
+    run_ga,
     plan_program,
     write_stream_csv,
 )
@@ -278,6 +283,33 @@ def gen_design_opt():
     })
 
 
+def design_results() -> dict:
+    """GA and random-search outputs on the design fixtures, as file texts.
+
+    Frozen so that a change to fitness evaluation cannot move a result.
+    """
+    bounds = load_bounds(FIXTURES / "bounds.json")
+    points = load_prescribed(FIXTURES / "recovery_points.json")
+    config = load_ga_config(FIXTURES / "ga_small.json")
+    found = {}
+    for evaluations in (60, 257):
+        genome, fit = random_search(bounds, points, evaluations,
+                                    config.size_penalty_weight, seed=9)
+        found[str(evaluations)] = [genome.tolist(), fit]
+    return {
+        "ga_small_result.json": run_ga(bounds, points, config).to_json(),
+        "random_search_small.json": json.dumps(found, indent=2, sort_keys=True) + "\n",
+    }
+
+
+def gen_design_results():
+    for name, text in design_results().items():
+        path = FIXTURES / name
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+
+
 def main():
     FIXTURES.mkdir(exist_ok=True)
     gen_geometry()
@@ -290,6 +322,7 @@ def main():
     gen_watchdog()
     gen_stream()
     gen_design_opt()
+    gen_design_results()
     print("fixtures complete")
 
 

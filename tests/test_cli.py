@@ -188,16 +188,29 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
      '{"timeout": ', "invalid JSON"),
     (["simulate", "--stream", "line100_stream.csv"], "--faults",
      '{"windows": [', "invalid JSON"),
+    (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
+     "--config", '{"crossover_rate": null}', "crossover_rate"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):
     bad = tmp_path / "bad.json"
     bad.write_text(content, encoding="utf-8")
-    argv = [base[0], base[1], str(fixtures_dir / base[2]),
-            flag, str(bad), "--out", str(tmp_path / "out")]
+    argv = [base[0]]
+    for option, fixture in zip(base[1::2], base[2::2]):
+        argv += [option, str(fixtures_dir / fixture)]
+    argv += [flag, str(bad), "--out", str(tmp_path / "out")]
     assert app(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ValueError: ")
     assert str(bad) in captured.err
     assert field in captured.err
+
+
+def test_bad_geometry_file_names_the_file_and_field(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"f": null, "e": 100, "rf": 150, "re": 350}', encoding="utf-8")
+    assert app(["ik", "--geometry", str(bad), "0", "0", "-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ValueError: geometry file {bad}: f ")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from deltacut import (
     random_search,
     run_ga,
 )
+from deltacut.design_opt import population_fitness
 
 INFEASIBLE = -1.0
 
@@ -46,6 +48,14 @@ def test_bounds_validation():
     assert b.sum_upper() == 600.0 + 300.0 + 400.0 + 700.0
     assert b.contains([200.0, 100.0, 150.0, 350.0])
     assert not b.contains([700.0, 100.0, 150.0, 350.0])
+
+
+@pytest.mark.parametrize("name", ["crossover_rate", "mutation_sigma_fraction",
+                                  "size_penalty_weight"])
+@pytest.mark.parametrize("value", [None, True, "0.5"])
+def test_config_rejects_non_numbers(name, value):
+    with pytest.raises(ValueError, match=name):
+        GaConfig(**{name: value})
 
 
 def test_config_validation():
@@ -188,3 +198,28 @@ def test_result_json_embeds_inputs():
     assert payload["bounds"]["f"] == [150.0, 600.0]
     assert len(payload["history"]) == 6
     assert payload["history"][0]["generation"] == 0
+
+
+def test_ga_and_random_search_results_are_pinned(fixtures_dir):
+    from gen_fixtures import design_results
+
+    for name, text in design_results().items():
+        assert text.encode("utf-8") == (fixtures_dir / name).read_bytes(), name
+
+
+def test_population_fitness_memory_is_bounded():
+    # 10 M genome x point pairs; one unbatched float64 temporary alone would
+    # take 80 MB.
+    rng = np.random.default_rng(5)
+    bounds = small_bounds()
+    genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(2000, 4))
+    points = PrescribedWorkspace(
+        points=rng.uniform([-300.0, -300.0, -600.0], [300.0, 300.0, -50.0], size=(5000, 3)))
+    tracemalloc.start()
+    try:
+        fits = population_fitness(genomes, points, 0.05, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fits.shape == (2000,)
+    assert peak < 8_000_000

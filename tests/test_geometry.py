@@ -43,6 +43,13 @@ def test_rejects_nonpositive_or_nonnumeric_links(bad):
         RobotGeometry(**bad)
 
 
+def test_rejects_links_whose_square_overflows():
+    # Such a geometry would otherwise assemble, and the array kernel would
+    # call poses reachable that scalar IK cannot solve.
+    with pytest.raises(ValueError, match="r_e=.* square overflows"):
+        RobotGeometry(f=300.0, e=100.0, r_f=150.0, r_e=1e300)
+
+
 def test_rejects_unassemblable_sizing():
     # Forearm shorter than the horizontal reach a + r_f - b.
     with pytest.raises(ValueError, match="r_e"):

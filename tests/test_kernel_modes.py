@@ -1,9 +1,10 @@
 """The arm kernel's scalar and array modes must agree bit for bit.
 
-Scalar inverse kinematics, the reachability mask and batch planning all run
-the same kernel, once on Python floats and once on numpy arrays.  These
-properties check that the two modes reach the same verdicts and angles on
-arbitrary finite poses, axis poses and the frozen recovery point set.
+Scalar inverse kinematics, the reachability mask, batch planning and batch
+GA fitness all run the same kernel, once on Python floats and once on numpy
+arrays.  These properties check that the two modes reach the same verdicts,
+angles and fitness values on arbitrary finite poses, axis poses, the frozen
+recovery point set and random genomes.
 """
 
 import math
@@ -19,8 +20,10 @@ from deltacut import (
     ArcSegment,
     Contour,
     CutProgram,
+    DesignBounds,
     LineSegment,
     Pose,
+    PrescribedWorkspace,
     RobotGeometry,
     Unreachable,
     UnreachableSample,
@@ -28,8 +31,11 @@ from deltacut import (
     is_reachable,
     is_reachable_many,
     plan_program,
+    random_search,
     trajectory,
 )
+from deltacut import design_opt, workspace
+from deltacut.design_opt import population_fitness
 from deltacut.kinematics import inverse_kinematics_many
 
 G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
@@ -148,3 +154,61 @@ def test_planning_fails_at_the_first_scalar_failure(data, geometry):
         with pytest.raises(UnreachableSample) as info:
             plan_program(geometry, program)
         assert (info.value.t, info.value.pose, info.value.arm_index) == expected
+
+
+BOUNDS = DesignBounds(f=(150.0, 600.0), e=(40.0, 300.0), r_f=(60.0, 400.0), r_e=(150.0, 700.0))
+inside = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(BOUNDS.lower(), BOUNDS.upper())))
+genomes = st.one_of(
+    inside,
+    st.tuples(*(st.floats(-100.0, 1000.0) for _ in range(4))),
+    st.tuples(*(st.one_of(st.floats(), st.sampled_from([0.0, 1e-300, 1e300])) for _ in range(4))),
+)
+point_sets = st.one_of(pose_lists, st.lists(st.sampled_from(RECOVERY), min_size=1, max_size=30))
+weights = st.one_of(st.sampled_from([0.0, 0.05]), st.floats(0.0, 10.0))
+# Small kernel budgets make one population span several calls.
+budgets = st.one_of(st.just(workspace.PAIR_BUDGET), st.integers(1, 40))
+
+
+def oracle_fitness(genome, points, weight):
+    """Scalar reachability per point, without the batched path."""
+    f, e, r_f, r_e = genome
+    try:
+        geometry = RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e)
+    except ValueError:
+        return -1.0
+    count = sum(is_reachable(geometry, Pose(*p)) for p in points)
+    return count / len(points) - weight * (f + e + r_f + r_e) / BOUNDS.sum_upper()
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(population=st.lists(genomes, min_size=1, max_size=12), points=point_sets,
+       weight=weights, budget=budgets)
+def test_population_fitness_equals_scalar_oracle(population, points, weight, budget):
+    prescribed = PrescribedWorkspace(points=np.array(points))
+    with mock.patch.object(workspace, "PAIR_BUDGET", budget):
+        got = population_fitness(population, prescribed, weight, BOUNDS)
+    assert bits(got) == bits([oracle_fitness(g, points, weight) for g in population])
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluations=st.integers(1, 30), points=point_sets, weight=weights,
+       seed=st.integers(0, 2 ** 64 - 1), budget=budgets)
+def test_random_search_keeps_the_first_best_genome(evaluations, points, weight, seed, budget):
+    # Weight 0 and few points make ties common; the first one must win.
+    prescribed = PrescribedWorkspace(points=np.array(points))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, design_opt._BASELINE_STREAM]))
+    want_genome, want_fit = None, -math.inf
+    for _ in range(evaluations):
+        genome = rng.uniform(BOUNDS.lower(), BOUNDS.upper())
+        fit = oracle_fitness(genome.tolist(), points, weight)
+        if fit > want_fit:
+            want_genome, want_fit = genome, fit
+    with mock.patch.object(workspace, "PAIR_BUDGET", budget), \
+            mock.patch.object(design_opt, "PAIR_BUDGET", budget):
+        genome, fit = random_search(BOUNDS, prescribed, evaluations, weight, seed)
+    assert bits(genome) == bits(want_genome)
+    assert bits([fit]) == bits([want_fit])
