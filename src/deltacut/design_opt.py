@@ -92,15 +92,18 @@ class GaConfig:
     size_penalty_weight: float = 0.05
 
     def __post_init__(self):
-        if not (isinstance(self.population_size, int) and self.population_size >= 2):
+        for name in ("population_size", "generations", "tournament_size",
+                     "elitism_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not self.population_size >= 2:
             raise ValueError("population_size must be an integer >= 2")
-        if not (isinstance(self.generations, int) and self.generations >= 0):
+        if not self.generations >= 0:
             raise ValueError("generations must be an integer >= 0")
-        if not (isinstance(self.tournament_size, int)
-                and 1 <= self.tournament_size <= self.population_size):
+        if not 1 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament_size must be in [1, population_size]")
-        if not (isinstance(self.elitism_count, int)
-                and 0 <= self.elitism_count < self.population_size):
+        if not 0 <= self.elitism_count < self.population_size:
             raise ValueError("elitism_count must be in [0, population_size)")
         if not 0.0 <= as_number("crossover_rate", self.crossover_rate) <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
@@ -108,7 +111,7 @@ class GaConfig:
             raise ValueError("mutation_sigma_fraction must be in (0, 1]")
         if not as_number("size_penalty_weight", self.size_penalty_weight) >= 0.0:
             raise ValueError("size_penalty_weight must be >= 0")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:

@@ -27,6 +27,11 @@ CELL_BUDGET = 100_000_000
 # memory does not grow with the population or the point set.
 PAIR_BUDGET = 32_768
 
+# Most grid cells one scan kernel call tests, so that the kernel's float64
+# temporaries stay a fixed size whatever the grid; grid dumps are written in
+# blocks of the same size.
+SLAB_CELLS = 262_144
+
 # The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
 _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
 
@@ -141,16 +146,39 @@ class PrescribedWorkspace:
 
 
 def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
-    """Scan the grid; each flag is the exact reachability of the cell centre."""
-    # Axis centres broadcast to the [iz, iy, ix] grid inside the kernel, so
-    # steps that do not depend on z run once per (y, x) column.
-    mask = reachable_mask(
-        geometry,
-        spec.axis_centers("x")[None, None, :],
-        spec.axis_centers("y")[None, :, None],
-        spec.axis_centers("z")[:, None, None],
-    )
-    return WorkspaceGrid(spec=spec, occupancy=mask)
+    """Scan the grid; each flag is the exact reachability of the cell centre.
+
+    The kernel runs on blocks of at most SLAB_CELLS cells (see _blocks), so
+    peak memory is the occupancy plus a fixed block's temporaries.  The
+    kernel is elementwise, so the flags do not depend on the blocking.
+    """
+    nx, ny, nz = spec.dims
+    # Axis centres broadcast to the [iz, iy, ix] block inside the kernel, so
+    # steps that do not depend on z run once per (y, x) column of a block.
+    x = spec.axis_centers("x")[None, None, :]
+    y = spec.axis_centers("y")[None, :, None]
+    z = spec.axis_centers("z")[:, None, None]
+    occupancy = np.empty((nz, ny, nx), dtype=bool)
+    for zs, ys, xs in _blocks(nx, ny, nz):
+        # Each block's mask lives until the next block's call returns; that
+        # stops the allocator from trimming the kernel's freed pages after
+        # every block, which made the 6 mm g0 scan about 30 % slower.
+        mask = reachable_mask(geometry, x[:, :, xs], y[:, ys], z[zs])
+        occupancy[zs, ys, xs] = mask
+    return WorkspaceGrid(spec=spec, occupancy=occupancy)
+
+
+def _blocks(nx: int, ny: int, nz: int):
+    """(z, y, x) slices that tile an [nz, ny, nx] grid in C order, in blocks
+    of at most SLAB_CELLS cells: whole (y, x) planes stacked in z when a
+    plane fits, else runs of whole x rows, else runs of cells of one row."""
+    kx = min(nx, SLAB_CELLS)
+    ky = min(ny, max(1, SLAB_CELLS // nx))
+    kz = min(nz, max(1, SLAB_CELLS // (nx * ny)))
+    for z0 in range(0, nz, kz):
+        for y0 in range(0, ny, ky):
+            for x0 in range(0, nx, kx):
+                yield slice(z0, z0 + kz), slice(y0, y0 + ky), slice(x0, x0 + kx)
 
 
 def coverage(geometry: RobotGeometry, prescribed: PrescribedWorkspace) -> float:
@@ -199,7 +227,11 @@ def default_grid_spec(geometry: RobotGeometry, resolution: float = 10.0) -> Grid
 
 def dump_grid(grid: WorkspaceGrid, path: str | Path, geometry: RobotGeometry | None = None) -> None:
     """Write the grid as a text file: one JSON header line, then one line of
-    '0'/'1' flags per (z, y) row, x fastest.  Byte-exact across platforms."""
+    '0'/'1' flags per (z, y) row, x fastest, every line ending in LF.
+
+    Byte-exact across platforms.  The body is written as bytes, one block of
+    _blocks at a time, so no second full copy of the grid is held.
+    """
     nx, ny, nz = grid.spec.dims
     header = {
         "format": _GRID_MAGIC,
@@ -210,39 +242,71 @@ def dump_grid(grid: WorkspaceGrid, path: str | Path, geometry: RobotGeometry | N
     }
     if geometry is not None:
         header["geometry"] = geometry.to_dict()
-    digits = np.where(grid.occupancy, "1", "0")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-        for iz in range(nz):
-            for iy in range(ny):
-                fh.write("".join(digits[iz, iy]))
-                fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii"))
+        fh.write(b"\n")
+        for zs, ys, xs in _blocks(nx, ny, nz):
+            flags = grid.occupancy[zs, ys, xs].view(np.uint8)
+            width = flags.shape[2]
+            # A newline column closes each row; an x-split row gets it with
+            # its last block.
+            ends_rows = xs.stop >= nx
+            chunk = np.empty(flags.shape[:2] + (width + ends_rows,), dtype=np.uint8)
+            np.add(flags, ord("0"), out=chunk[:, :, :width])
+            if ends_rows:
+                chunk[:, :, width] = ord("\n")
+            fh.write(chunk)
 
 
 def load_grid(path: str | Path) -> WorkspaceGrid:
-    """Read a grid written by dump_grid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"grid file {path}: bad header ({exc})") from exc
-        if header.get("format") != _GRID_MAGIC or header.get("version") != _GRID_VERSION:
-            raise ValueError(f"grid file {path}: unrecognised format header")
-        spec = GridSpec(**header["bounds"])
-        nx, ny, nz = spec.dims
-        if header.get("dims") != [nx, ny, nz]:
-            raise ValueError(f"grid file {path}: dims do not match bounds/resolution")
-        rows = []
-        for iz in range(nz):
-            for iy in range(ny):
-                line = fh.readline().rstrip("\n")
-                if len(line) != nx or set(line) - {"0", "1"}:
-                    raise ValueError(f"grid file {path}: bad row at z={iz} y={iy}")
-                rows.append([ch == "1" for ch in line])
-    occupancy = np.array(rows, dtype=bool).reshape(nz, ny, nx)
-    return WorkspaceGrid(spec=spec, occupancy=occupancy)
+    """Read a grid written by dump_grid.
+
+    After the header the file must hold exactly nz * ny rows of nx '0'/'1'
+    bytes, each ending in a newline: a truncated body (a missing final
+    newline included) or anything after the last row is an error naming the
+    first bad (z, y) row.  CRLF and CR line endings are read as LF.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    try:
+        header = json.loads(data[:end].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"grid file {path}: bad header ({exc})") from exc
+    if (not isinstance(header, dict) or header.get("format") != _GRID_MAGIC
+            or header.get("version") != _GRID_VERSION):
+        raise ValueError(f"grid file {path}: unrecognised format header")
+    bounds = header.get("bounds")
+    if not isinstance(bounds, dict):
+        raise ValueError(f"grid file {path}: bounds must be a JSON object")
+    try:
+        spec = GridSpec(**bounds)
+    except CellBudgetExceeded as exc:
+        raise CellBudgetExceeded(f"grid file {path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"grid file {path}: bad bounds ({exc})") from exc
+    nx, ny, nz = spec.dims
+    if header.get("dims") != [nx, ny, nz]:
+        raise ValueError(f"grid file {path}: dims do not match bounds/resolution")
+
+    body = np.frombuffer(data, dtype=np.uint8)[end + 1:]
+    n_rows = nz * ny
+    whole = min(body.size // (nx + 1), n_rows)
+    rows = body[:whole * (nx + 1)].reshape(whole, nx + 1)
+    # uint8 arithmetic wraps, so every byte but '0' and '1' maps above 1.
+    flags = rows[:, :nx] - np.uint8(ord("0"))
+    bad = (rows[:, nx] != ord("\n")) | (flags > 1).any(axis=1)
+    first_bad = int(bad.argmax()) if bad.any() else whole
+    if first_bad < n_rows:
+        iz, iy = divmod(first_bad, ny)
+        raise ValueError(f"grid file {path}: bad row at z={iz} y={iy}")
+    if body.size > n_rows * (nx + 1):
+        raise ValueError(f"grid file {path}: data after the last row (z={nz - 1} y={ny - 1})")
+    return WorkspaceGrid(spec=spec, occupancy=flags.view(bool).reshape(nz, ny, nx))
 
 
 def load_prescribed(path: str | Path) -> PrescribedWorkspace:

@@ -10,6 +10,7 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -188,6 +189,27 @@ def grid_counts(f, e, r_f, r_e, lo, hi, res):
                 count += ok
             rows.append("".join(bits))
     return (nx, ny, nz), count, rows
+
+
+def grid_dump_bytes(grid, geometry=None) -> bytes:
+    """A grid dump written the slow way: the JSON header line, then one
+    '0'/'1' string per (z, y) row joined from per-cell characters."""
+    nx, ny, nz = grid.spec.dims
+    header = {
+        "format": "deltacut-grid",
+        "version": 1,
+        "bounds": grid.spec.to_dict(),
+        "dims": [nx, ny, nz],
+        "order": "x fastest, then y, then z",
+    }
+    if geometry is not None:
+        header["geometry"] = geometry.to_dict()
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    digits = np.where(grid.occupancy, "1", "0")
+    for iz in range(nz):
+        for iy in range(ny):
+            lines.append("".join(digits[iz, iy]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def trapezoid_total_time(length: float, feed: float, a_max: float) -> float:

@@ -190,6 +190,8 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
      '{"windows": [', "invalid JSON"),
     (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
      "--config", '{"crossover_rate": null}', "crossover_rate"),
+    (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
+     "--config", '{"seed": true}', "seed"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):

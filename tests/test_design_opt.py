@@ -51,7 +51,8 @@ def test_bounds_validation():
 
 
 @pytest.mark.parametrize("name", ["crossover_rate", "mutation_sigma_fraction",
-                                  "size_penalty_weight"])
+                                  "size_penalty_weight", "population_size", "generations",
+                                  "tournament_size", "elitism_count", "seed"])
 @pytest.mark.parametrize("value", [None, True, "0.5"])
 def test_config_rejects_non_numbers(name, value):
     with pytest.raises(ValueError, match=name):

@@ -1,10 +1,10 @@
 """The arm kernel's scalar and array modes must agree bit for bit.
 
-Scalar inverse kinematics, the reachability mask, batch planning and batch
-GA fitness all run the same kernel, once on Python floats and once on numpy
-arrays.  These properties check that the two modes reach the same verdicts,
-angles and fitness values on arbitrary finite poses, axis poses, the frozen
-recovery point set and random genomes.
+Scalar inverse kinematics, the reachability mask, blocked grid scans, batch
+planning and batch GA fitness all run the same kernel, once on Python floats
+and once on numpy arrays.  These properties check that the two modes reach
+the same verdicts, angles and fitness values on arbitrary finite poses, axis
+poses, the frozen recovery point set, random grids and random genomes.
 """
 
 import math
@@ -21,12 +21,14 @@ from deltacut import (
     Contour,
     CutProgram,
     DesignBounds,
+    GridSpec,
     LineSegment,
     Pose,
     PrescribedWorkspace,
     RobotGeometry,
     Unreachable,
     UnreachableSample,
+    compute_workspace,
     inverse_kinematics,
     is_reachable,
     is_reachable_many,
@@ -36,7 +38,7 @@ from deltacut import (
 )
 from deltacut import design_opt, workspace
 from deltacut.design_opt import population_fitness
-from deltacut.kinematics import inverse_kinematics_many
+from deltacut.kinematics import inverse_kinematics_many, reachable_mask
 
 G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
 RECOVERY = [tuple(p) for p in load_fixture("recovery_points.json")["points"]]
@@ -95,6 +97,43 @@ def test_batch_angles_equal_scalar_angles(geometry, points):
             continue
         assert ok
         assert row.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+@st.composite
+def grid_specs(draw):
+    """Small boxes in, across and beyond the reach of the drawn geometries."""
+    res = draw(st.floats(2.0, 120.0))
+    lo = (draw(span), draw(span), draw(st.floats(-1100, 0)))
+    n = [draw(st.integers(1, 9)) for _ in range(3)]
+    return GridSpec(lo[0], lo[0] + n[0] * res, lo[1], lo[1] + n[1] * res,
+                    lo[2], lo[2] + n[2] * res, res)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=any_geometry, spec=grid_specs(), data=st.data())
+def test_block_scan_equals_one_kernel_call(geometry, spec, data):
+    nx, ny, nz = spec.dims
+    plane = nx * ny
+    # Budgets below a row, a plane and the grid run the x, y and z splits,
+    # most of them with a partial last block.
+    slab = data.draw(st.one_of(st.sampled_from([1, 7, max(1, plane - 1), plane + 1]),
+                               st.integers(1, plane * nz + 1)))
+    x = spec.axis_centers("x")[None, None, :]
+    y = spec.axis_centers("y")[None, :, None]
+    z = spec.axis_centers("z")[:, None, None]
+    want = reachable_mask(geometry, x, y, z)
+    sizes = []
+
+    def spy(geometry, x, y, z):
+        sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape, z.shape)))
+        return reachable_mask(geometry, x, y, z)
+
+    with mock.patch.object(workspace, "SLAB_CELLS", slab), \
+            mock.patch.object(workspace, "reachable_mask", spy):
+        got = compute_workspace(geometry, spec).occupancy
+    assert np.array_equal(got, want)
+    assert max(sizes) <= slab
+    assert sum(sizes) == nx * ny * nz
 
 
 @st.composite

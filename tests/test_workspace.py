@@ -1,8 +1,15 @@
 import json
 import math
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from deltacut import (
@@ -11,6 +18,7 @@ from deltacut import (
     GridSpec,
     Pose,
     PrescribedWorkspace,
+    WorkspaceGrid,
     compute_workspace,
     coverage,
     default_grid_spec,
@@ -21,7 +29,9 @@ from deltacut import (
     load_prescribed,
     save_prescribed,
     volume_estimate,
+    workspace,
 )
+from oracles import grid_dump_bytes
 
 
 def reference_spec():
@@ -167,3 +177,115 @@ def test_occupied_cells_are_actually_reachable(g0):
             for ix in range(len(xs)):
                 want = is_reachable(g0, Pose(xs[ix], ys[iy], zs[iz]))
                 assert bool(occ[iz, iy, ix]) == want
+
+
+def _dump_bytes(tmp_path, g0):
+    # A 3 x 2 x 2 grid: rows are 3 flags and a newline, 4 rows in all.
+    spec = GridSpec(-30.0, 30.0, -20.0, 20.0, -320.0, -280.0, 20.0)
+    occupancy = np.array([[[1, 0, 1], [0, 0, 1]], [[1, 1, 1], [0, 1, 0]]], dtype=bool)
+    grid = WorkspaceGrid(spec=spec, occupancy=occupancy)
+    path = tmp_path / "grid.txt"
+    dump_grid(grid, path, geometry=g0)
+    return grid, path, path.read_bytes()
+
+
+def test_load_grid_reads_crlf_line_endings(tmp_path, g0):
+    grid, path, data = _dump_bytes(tmp_path, g0)
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    again = load_grid(path)
+    assert again.spec == grid.spec
+    assert np.array_equal(again.occupancy, grid.occupancy)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: d[:-1], "bad row at z=1 y=1"),
+    (lambda d: d[:-4], "bad row at z=1 y=1"),
+    (lambda d: d[:d.index(b"\n") + 1], "bad row at z=0 y=0"),
+    (lambda d: d + b"\n", "data after the last row"),
+    (lambda d: d + b"010\n", "data after the last row"),
+    (lambda d: d.replace(b"\n101\n", b"\n1010\n", 1), "bad row at z=0 y=0"),
+    (lambda d: d.replace(b"\n001\n", b"\n01\n", 1), "bad row at z=0 y=1"),
+    (lambda d: d.replace(b"\n010\n", b"\n0x0\n", 1), "bad row at z=1 y=1"),
+], ids=["no-final-newline", "last-row-missing", "header-only", "blank-line-after",
+        "row-after", "long-row", "short-row", "bad-digit"])
+def test_load_grid_rejects_bodies_of_the_wrong_shape(tmp_path, g0, edit, error):
+    _, path, data = _dump_bytes(tmp_path, g0)
+    path.write_bytes(edit(data))
+    with pytest.raises(ValueError, match=re.escape(f"grid file {path}: {error}")):
+        load_grid(path)
+
+
+_BOUNDS = {"x_min": 0.0, "x_max": 2.0, "y_min": 0.0, "y_max": 1.0,
+           "z_min": -1.0, "z_max": 0.0, "resolution": 1.0}
+_HEAD = {"format": "deltacut-grid", "version": 1, "dims": [2, 1, 1]}
+
+
+@pytest.mark.parametrize("header", [
+    _HEAD,
+    ["deltacut-grid", 1],
+    {**_HEAD, "bounds": [1, 2]},
+    {**_HEAD, "bounds": {"x_min": 0.0}},
+    {**_HEAD, "bounds": {**_BOUNDS, "resolution": 0.0}},
+], ids=["no-bounds", "list-header", "list-bounds", "missing-bound", "zero-resolution"])
+def test_load_grid_rejects_malformed_headers(tmp_path, header):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n01\n")
+    with pytest.raises(ValueError, match=re.escape(f"grid file {path}: ")):
+        load_grid(path)
+
+
+@st.composite
+def grids(draw):
+    """Random occupancy over a small box; any dimension may be 1."""
+    res = draw(st.sampled_from([0.5, 1.0, 7.25, 20.0]))
+    n = [draw(st.integers(1, 8)) for _ in range(3)]
+    spec = GridSpec(-n[0] * res / 2, n[0] * res / 2, -n[1] * res / 2, n[1] * res / 2,
+                    -300.0 - n[2] * res, -300.0, res)
+    nx, ny, nz = spec.dims
+    flags = np.frombuffer(draw(st.binary(min_size=nx * ny * nz, max_size=nx * ny * nz)), np.uint8)
+    return WorkspaceGrid(spec=spec, occupancy=(flags & 1).astype(bool).reshape(nz, ny, nx))
+
+
+# Small budgets make the writer split rows in x and end them mid-block.
+slabs = st.one_of(st.just(workspace.SLAB_CELLS), st.integers(1, 600))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids(), with_geometry=st.booleans(), slab=slabs)
+def test_dump_equals_the_per_row_writer(g0, grid, with_geometry, slab):
+    geometry = g0 if with_geometry else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.txt"
+        with mock.patch.object(workspace, "SLAB_CELLS", slab):
+            dump_grid(grid, path, geometry=geometry)
+        assert path.read_bytes() == grid_dump_bytes(grid, geometry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids(), slab=slabs)
+def test_load_grid_inverts_dump_grid(grid, slab):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.txt"
+        with mock.patch.object(workspace, "SLAB_CELLS", slab):
+            dump_grid(grid, path)
+        again = load_grid(path)
+    assert again.spec == grid.spec
+    assert np.array_equal(again.occupancy, grid.occupancy)
+
+
+@pytest.mark.parametrize("spec_of, slab", [
+    (lambda g: default_grid_spec(g, 8.0), workspace.SLAB_CELLS),
+    # One row of a million cells: the budget splits it along x.
+    (lambda g: GridSpec(-5e5, 5e5, -0.5, 0.5, -300.5, -299.5, 1.0), 4096),
+], ids=["g0-8mm", "one-long-row"])
+def test_scan_memory_is_bounded(g0, spec_of, slab):
+    spec = spec_of(g0)
+    with mock.patch.object(workspace, "SLAB_CELLS", slab):
+        tracemalloc.start()
+        try:
+            grid = compute_workspace(g0, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert grid.occupancy.size >= 1_000_000
+    assert peak < grid.occupancy.nbytes + 48_000_000
