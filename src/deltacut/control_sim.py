@@ -21,12 +21,10 @@ clears a process's tripped state, so a later gap can trip again.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import UnknownProcess, read_json
+from .errors import UnknownProcess, as_count, as_list, fields, naming, read_json, write_json
 from .trajectory import SetpointStream
 
 SEVERITIES = ("critical", "degraded", "advisory")
@@ -68,14 +66,7 @@ class WatchdogConfig:
     processes: tuple[ProcessSpec, ...] = field(default_factory=default_processes)
 
     def __post_init__(self):
-        period = self.pulse_period
-        timeout = self.timeout
-        if not (isinstance(period, int) and not isinstance(period, bool) and period >= 1):
-            raise ValueError(f"pulse_period must be an integer >= 1, got {period!r}")
-        if not (isinstance(timeout, int) and not isinstance(timeout, bool) and timeout >= period):
-            raise ValueError(
-                f"timeout must be an integer >= pulse_period ({period}), got {timeout!r}"
-            )
+        as_count("timeout", self.timeout, as_count("pulse_period", self.pulse_period, 1))
         procs = tuple(self.processes)
         for p in procs:
             if not isinstance(p, ProcessSpec):
@@ -109,10 +100,8 @@ class FaultWindow:
     def __post_init__(self):
         if not (isinstance(self.process_name, str) and self.process_name):
             raise ValueError("process_name must be a non-empty string")
-        s, e = self.start_tick, self.end_tick
-        for label, v in (("start_tick", s), ("end_tick", e)):
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                raise ValueError(f"{label} must be a non-negative integer, got {v!r}")
+        s = as_count("start_tick", self.start_tick, 0)
+        e = as_count("end_tick", self.end_tick, 0)
         if e < s:
             raise ValueError(f"end_tick {e} precedes start_tick {s}")
 
@@ -156,13 +145,12 @@ class TraceEvent:
     detail: str = ""
 
     def __post_init__(self):
-        if not (isinstance(self.tick, int) and not isinstance(self.tick, bool) and self.tick >= 0):
-            raise ValueError(f"tick must be a non-negative integer, got {self.tick!r}")
+        as_count("tick", self.tick, 0)
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         for label, text in (("process_name", self.process_name), ("detail", self.detail)):
-            if "\t" in text or "\n" in text:
-                raise ValueError(f"{label} must not contain tabs or newlines")
+            if not isinstance(text, str) or "\t" in text or "\n" in text:
+                raise ValueError(f"{label} must be a string without tabs or newlines")
 
     def to_line(self) -> str:
         return f"{self.tick}\t{self.kind}\t{self.process_name}\t{self.detail}"
@@ -334,87 +322,55 @@ def write_trace(trace, path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> tuple[TraceEvent, ...]:
     events = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, naming(f"trace file {path}"):
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ValueError(f"trace file {path}: line {ln} has {len(parts)} fields")
-            try:
-                tick = int(parts[0])
-            except ValueError as exc:
-                raise ValueError(f"trace file {path}: line {ln}: bad tick") from exc
-            events.append(TraceEvent(tick, parts[1], parts[2], parts[3]))
+                raise ValueError(f"line {ln} has {len(parts)} fields")
+            with naming(f"line {ln}"):
+                try:
+                    tick = int(parts[0])
+                except ValueError:
+                    raise ValueError("bad tick") from None
+                events.append(TraceEvent(tick, parts[1], parts[2], parts[3]))
     return tuple(events)
 
 
 def load_watchdog_config(path: str | Path) -> WatchdogConfig:
-    raw = read_json(path, "watchdog config", expect_object=True)
-    known = {"pulse_period", "timeout", "processes"}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(f"watchdog config {path}: unknown keys {sorted(extra)}")
-    kwargs = {}
-    if "pulse_period" in raw:
-        kwargs["pulse_period"] = _as_count(raw["pulse_period"], "pulse_period")
-    if "timeout" in raw:
-        kwargs["timeout"] = _as_count(raw["timeout"], "timeout")
-    if "processes" in raw:
-        if not isinstance(raw["processes"], list):
-            raise ValueError(
-                f"watchdog config {path}: processes must be a list, got {raw['processes']!r}"
-            )
-        procs = []
-        for rp in raw["processes"]:
-            if not (isinstance(rp, dict) and set(rp) == {"name", "severity"}):
-                raise ValueError(
-                    f"watchdog config {path}: each process needs exactly name and severity"
-                )
-            procs.append(ProcessSpec(rp["name"], rp["severity"]))
-        kwargs["processes"] = tuple(procs)
-    return WatchdogConfig(**kwargs)
+    with read_json(path, "watchdog config") as raw:
+        kwargs = dict(fields(raw, "top level", (), ("pulse_period", "timeout", "processes")))
+        if "processes" in raw:
+            kwargs["processes"] = _load_each(raw["processes"], "processes", "process", ProcessSpec)
+        return WatchdogConfig(**kwargs)
 
 
 def save_watchdog_config(config: WatchdogConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config.to_dict(), path)
 
 
 def load_fault_script(path: str | Path) -> FaultScript:
-    raw = read_json(path, "fault script")
-    if isinstance(raw, dict):
-        raw = raw.get("windows", raw)
-    if not isinstance(raw, list):
-        raise ValueError(f"fault script {path}: expected a JSON list of windows")
-    windows = []
-    for i, rw in enumerate(raw):
-        if not (isinstance(rw, dict) and set(rw) == {"process_name", "start_tick", "end_tick"}):
-            raise ValueError(
-                f"fault script {path}: window {i} needs exactly "
-                "process_name, start_tick, end_tick"
-            )
-        windows.append(FaultWindow(
-            rw["process_name"],
-            _as_count(rw["start_tick"], "start_tick"),
-            _as_count(rw["end_tick"], "end_tick"),
-        ))
-    return FaultScript(tuple(windows))
+    """Read a fault script: a list of windows, or {"windows": [...]}."""
+    with read_json(path, "fault script") as raw:
+        if isinstance(raw, dict):
+            raw = fields(raw, "top level", ("windows",))["windows"]
+        return FaultScript(_load_each(raw, "windows", "window", FaultWindow))
+
+
+def _load_each(raw, name: str, noun: str, cls) -> tuple:
+    """cls(**item) for each item of the list raw, an object holding exactly
+    the fields of cls; errors name the item as "{noun} {index}"."""
+    keys = cls.__dataclass_fields__
+    items = []
+    for i, item in enumerate(as_list(name, raw)):
+        where = f"{noun} {i}"
+        fields(item, where, keys)
+        with naming(where):
+            items.append(cls(**item))
+    return tuple(items)
 
 
 def save_fault_script(script: FaultScript, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(script.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _as_count(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not (math.isfinite(value) and value == int(value)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        value = int(value)
-    return value
+    write_json(script.to_dict(), path)

@@ -18,14 +18,13 @@ SeedSequence([seed, _BASELINE_STREAM]) and scores them in batches.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import as_number, read_json
+from .errors import as_count, as_list, as_number, fields, json_text, read_json
 from .geometry import RobotGeometry
 # coverage stays importable from here: perfbench/worker.py traces the name.
 from .workspace import PAIR_BUDGET, PrescribedWorkspace, coverage, coverage_many  # noqa: F401
@@ -47,14 +46,9 @@ class DesignBounds:
 
     def __post_init__(self):
         for name in ("f", "e", "r_f", "r_e"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                raise ValueError(f"{name} bounds must be a (low, high) pair")
-            try:
-                lo, hi = float(pair[0]), float(pair[1])
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} bounds must be numbers, got {pair!r}") from None
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+            pair = as_list(f"{name} bounds", getattr(self, name), 2)
+            lo, hi = (as_number(f"{name} bounds", value) for value in pair)
+            if not 0.0 < lo < hi:
                 raise ValueError(f"{name} bounds must satisfy 0 < low < high, got {pair!r}")
             object.__setattr__(self, name, (lo, hi))
 
@@ -92,18 +86,12 @@ class GaConfig:
     size_penalty_weight: float = 0.05
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "tournament_size",
-                     "elitism_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.population_size >= 2:
-            raise ValueError("population_size must be an integer >= 2")
-        if not self.generations >= 0:
-            raise ValueError("generations must be an integer >= 0")
-        if not 1 <= self.tournament_size <= self.population_size:
+        # Values are checked, not converted, so result files echo them as given.
+        population_size = as_count("population_size", self.population_size, 2)
+        as_count("generations", self.generations, 0)
+        if not as_count("tournament_size", self.tournament_size, 1) <= population_size:
             raise ValueError("tournament_size must be in [1, population_size]")
-        if not 0 <= self.elitism_count < self.population_size:
+        if not as_count("elitism_count", self.elitism_count, 0) < population_size:
             raise ValueError("elitism_count must be in [0, population_size)")
         if not 0.0 <= as_number("crossover_rate", self.crossover_rate) <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
@@ -111,20 +99,11 @@ class GaConfig:
             raise ValueError("mutation_sigma_fraction must be in (0, 1]")
         if not as_number("size_penalty_weight", self.size_penalty_weight) >= 0.0:
             raise ValueError("size_penalty_weight must be >= 0")
-        if not 0 <= self.seed < 2 ** 64:
+        if not as_count("seed", self.seed, 0) < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
     def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "tournament_size": self.tournament_size,
-            "crossover_rate": self.crossover_rate,
-            "mutation_sigma_fraction": self.mutation_sigma_fraction,
-            "elitism_count": self.elitism_count,
-            "seed": self.seed,
-            "size_penalty_weight": self.size_penalty_weight,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +131,7 @@ class GaResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
 
 def population_fitness(
@@ -307,24 +286,12 @@ def random_search(
 
 def load_bounds(path: str | Path) -> DesignBounds:
     """Read a bounds JSON file with keys f, e, rf, re -> [low, high] (mm)."""
-    raw = read_json(path, "bounds file", expect_object=True)
-    missing = [k for k in _GENE_NAMES if k not in raw]
-    if missing:
-        raise ValueError(f"bounds file {path}: missing key(s) {', '.join(missing)}")
-    try:
+    with read_json(path, "bounds file") as raw:
+        fields(raw, "top level", _GENE_NAMES)
         return DesignBounds(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
-    except ValueError as exc:
-        raise ValueError(f"bounds file {path}: {exc}") from exc
 
 
 def load_ga_config(path: str | Path) -> GaConfig:
     """Read a GA config JSON file; absent keys keep their defaults."""
-    raw = read_json(path, "config file", expect_object=True)
-    allowed = set(GaConfig().to_dict())
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"config file {path}: unknown key(s) {', '.join(sorted(unknown))}")
-    try:
-        return GaConfig(**raw)
-    except ValueError as exc:
-        raise ValueError(f"config file {path}: {exc}") from exc
+    with read_json(path, "config file") as raw:
+        return GaConfig(**fields(raw, "top level", (), optional=GaConfig().to_dict()))

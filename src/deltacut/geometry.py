@@ -7,12 +7,11 @@ z < 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import as_number, read_json
+from .errors import as_number, fields, read_json, write_json
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -40,8 +39,8 @@ class RobotGeometry:
     def __post_init__(self):
         for name in ("f", "e", "r_f", "r_e"):
             value = as_number(name, getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a positive finite length, got {value!r}")
+            if value <= 0.0:
+                raise ValueError(f"{name} must be a positive length, got {value!r}")
             # The kinematics kernel squares every link; an infinite square
             # would blind its tolerance checks.
             if not math.isfinite(value * value):
@@ -83,10 +82,7 @@ class Pose:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            value = as_number(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_number(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +96,6 @@ class JointAngles:
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
             value = as_number(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
             if not (THETA_MIN < value < THETA_MAX):
                 raise ValueError(
                     f"{name}={value} outside canonical joint range (-pi/2, pi)"
@@ -127,17 +121,10 @@ class ArmSolution:
 
 def load_geometry(path: str | Path) -> RobotGeometry:
     """Read a geometry JSON file with keys f, e, rf, re (mm)."""
-    raw = read_json(path, "geometry file", expect_object=True)
-    missing = [key for key in ("f", "e", "rf", "re") if key not in raw]
-    if missing:
-        raise ValueError(f"geometry file {path}: missing key(s) {', '.join(missing)}")
-    try:
+    with read_json(path, "geometry file") as raw:
+        fields(raw, "top level", ("f", "e", "rf", "re"))
         return RobotGeometry(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
-    except ValueError as exc:
-        raise ValueError(f"geometry file {path}: {exc}") from exc
 
 
 def save_geometry(geometry: RobotGeometry, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(geometry.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(geometry.to_dict(), path)

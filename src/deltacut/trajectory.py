@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample, Unreachable,
-                     read_json)
+                     as_list, as_number, fields, naming, read_json)
 from .geometry import Pose, RobotGeometry
 from .kinematics import inverse_kinematics, inverse_kinematics_many
 
@@ -38,9 +38,9 @@ class MachineLimits:
 
     def __post_init__(self):
         for name in ("v_max", "a_max", "tick"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite")
+            value = as_number(name, getattr(self, name))
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, value)
 
 
@@ -137,12 +137,8 @@ class ArcSegment:
 
 
 def _check_xy(pair, what: str) -> tuple[float, float]:
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-        raise ValueError(f"{what} must be an (x, y) pair")
-    x, y = float(pair[0]), float(pair[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{what} must be finite")
-    return (x, y)
+    x, y = as_list(what, pair, 2)
+    return (as_number(f"{what} x", x), as_number(f"{what} y", y))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,15 +160,14 @@ class Contour:
             if not isinstance(seg, (LineSegment, ArcSegment)):
                 raise ValueError(f"unsupported segment type {type(seg).__name__}")
         object.__setattr__(self, "segments", segs)
-        z = float(self.z_plane)
-        if not math.isfinite(z):
-            raise ValueError("z_plane must be finite")
-        object.__setattr__(self, "z_plane", z)
+        object.__setattr__(self, "z_plane", as_number("z_plane", self.z_plane))
+        if not isinstance(self.laser_on, bool):
+            raise ValueError(f"laser_on must be true or false, got {self.laser_on!r}")
         if self.feed is not None:
-            fv = float(self.feed)
-            if not (math.isfinite(fv) and fv > 0.0):
+            feed = as_number("feed", self.feed)
+            if not feed > 0.0:
                 raise ValueError(f"contour feed must be positive, got {self.feed!r}")
-            object.__setattr__(self, "feed", fv)
+            object.__setattr__(self, "feed", feed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -531,37 +526,32 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
 
 def load_program(path: str | Path) -> CutProgram:
     """Read a cut-program JSON file; schema documented in the README."""
-    raw = read_json(path, "program file")
-    if not isinstance(raw, dict) or "contours" not in raw:
-        raise ValueError(f"program file {path}: expected an object with 'contours'")
-    if not isinstance(raw["contours"], list):
-        raise ValueError(f"program file {path}: contours must be a list, got {raw['contours']!r}")
-    contours = []
-    for ci, rc in enumerate(raw["contours"]):
-        if not isinstance(rc, dict):
-            raise ValueError(f"program file {path}: contour {ci} must be an object")
-        try:
-            segments = []
-            for si, rs in enumerate(rc.get("segments", [])):
-                kind = rs.get("type")
-                if kind == "line":
-                    segments.append(LineSegment(end=tuple(rs["end"])))
-                elif kind == "arc":
-                    segments.append(ArcSegment(
-                        end=tuple(rs["end"]),
-                        center=tuple(rs["center"]),
-                        direction=rs.get("direction", "ccw"),
-                    ))
-                else:
-                    raise ValueError(f"segment {si}: unknown type {kind!r}")
-            contour = Contour(
-                start=tuple(rc["start"]),
-                segments=tuple(segments),
-                z_plane=rc["z_plane"],
-                laser_on=bool(rc.get("laser_on", True)),
-                feed=rc.get("feed"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"program file {path}: contour {ci}: {exc}") from exc
-        contours.append(contour)
-    return CutProgram(contours=tuple(contours))
+    with read_json(path, "program file") as raw:
+        contours = fields(raw, "top level", ("contours",))["contours"]
+        return CutProgram(contours=tuple(
+            _load_contour(rc, f"contour {ci}")
+            for ci, rc in enumerate(as_list("contours", contours))
+        ))
+
+
+def _load_contour(rc, where: str) -> Contour:
+    fields(rc, where, ("start", "segments", "z_plane"), ("laser_on", "feed"))
+    with naming(where):
+        segments = [_load_segment(rs, f"segment {si}")
+                    for si, rs in enumerate(as_list("segments", rc["segments"]))]
+        return Contour(start=rc["start"], segments=tuple(segments), z_plane=rc["z_plane"],
+                       laser_on=rc.get("laser_on", True), feed=rc.get("feed"))
+
+
+def _load_segment(rs, where: str) -> LineSegment | ArcSegment:
+    with naming(where):
+        kind = rs.get("type") if isinstance(rs, dict) else None
+        if kind == "line":
+            fields(rs, "line segment", ("type", "end"))
+            return LineSegment(end=rs["end"])
+        if kind == "arc":
+            fields(rs, "arc segment", ("type", "end", "center"), ("direction",))
+            return ArcSegment(end=rs["end"], center=rs["center"],
+                              direction=rs.get("direction", "ccw"))
+        fields(rs, "segment", ("type",), ("end", "center", "direction"))
+        raise ValueError(f"unknown type {kind!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellBudgetExceeded, as_number, read_json
+from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json
 from .geometry import RobotGeometry
 from .kinematics import reachable_mask
 
@@ -37,6 +37,7 @@ _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
 
 _GRID_MAGIC = "deltacut-grid"
 _GRID_VERSION = 1
+_GRID_FIELDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "resolution")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,11 +57,8 @@ class GridSpec:
     resolution: float
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "resolution"):
-            value = as_number(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+        for name in _GRID_FIELDS:
+            object.__setattr__(self, name, as_number(name, getattr(self, name)))
         if not self.resolution > 0.0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
         for axis in ("x", "y", "z"):
@@ -268,6 +266,11 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    with naming(f"grid file {path}"):
+        return _parse_grid(data)
+
+
+def _parse_grid(data: bytes) -> WorkspaceGrid:
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     end = data.find(b"\n")
@@ -275,23 +278,15 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
         end = len(data)
     try:
         header = json.loads(data[:end].decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"grid file {path}: bad header ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad header ({exc})") from exc
     if (not isinstance(header, dict) or header.get("format") != _GRID_MAGIC
             or header.get("version") != _GRID_VERSION):
-        raise ValueError(f"grid file {path}: unrecognised format header")
-    bounds = header.get("bounds")
-    if not isinstance(bounds, dict):
-        raise ValueError(f"grid file {path}: bounds must be a JSON object")
-    try:
-        spec = GridSpec(**bounds)
-    except CellBudgetExceeded as exc:
-        raise CellBudgetExceeded(f"grid file {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"grid file {path}: bad bounds ({exc})") from exc
+        raise ValueError("unrecognised format header")
+    spec = GridSpec(**fields(header.get("bounds"), "bounds", _GRID_FIELDS))
     nx, ny, nz = spec.dims
     if header.get("dims") != [nx, ny, nz]:
-        raise ValueError(f"grid file {path}: dims do not match bounds/resolution")
+        raise ValueError("dims do not match bounds/resolution")
 
     body = np.frombuffer(data, dtype=np.uint8)[end + 1:]
     n_rows = nz * ny
@@ -299,27 +294,27 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
     rows = body[:whole * (nx + 1)].reshape(whole, nx + 1)
     # uint8 arithmetic wraps, so every byte but '0' and '1' maps above 1.
     flags = rows[:, :nx] - np.uint8(ord("0"))
-    bad = (rows[:, nx] != ord("\n")) | (flags > 1).any(axis=1)
+    bad = (rows[:, nx] != ord("\n")) | (flags.max(axis=1) > 1)
     first_bad = int(bad.argmax()) if bad.any() else whole
     if first_bad < n_rows:
         iz, iy = divmod(first_bad, ny)
-        raise ValueError(f"grid file {path}: bad row at z={iz} y={iy}")
+        raise ValueError(f"bad row at z={iz} y={iy}")
     if body.size > n_rows * (nx + 1):
-        raise ValueError(f"grid file {path}: data after the last row (z={nz - 1} y={ny - 1})")
+        raise ValueError(f"data after the last row (z={nz - 1} y={ny - 1})")
     return WorkspaceGrid(spec=spec, occupancy=flags.view(bool).reshape(nz, ny, nx))
 
 
 def load_prescribed(path: str | Path) -> PrescribedWorkspace:
-    """Read a prescribed-workspace JSON file: a list of [x, y, z] triples."""
-    raw = read_json(path, "prescribed file")
-    if isinstance(raw, dict) and "points" in raw:
-        raw = raw["points"]
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"prescribed file {path}: expected a non-empty list of points")
-    for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ValueError(f"prescribed file {path}: point {i} is not an [x, y, z] triple")
-    return PrescribedWorkspace(points=np.array(raw, dtype=np.float64))
+    """Read a prescribed-workspace JSON file: a list of [x, y, z] triples, or
+    an object holding that list under "points" beside annotation keys."""
+    with read_json(path, "prescribed file") as raw:
+        if isinstance(raw, dict):
+            # Annotation keys (coverage_g0, say) may sit beside "points".
+            raw = fields(raw, "top level", ("points",), optional=raw)["points"]
+        points = [[as_number(f"point {i} {axis}", value)
+                   for axis, value in zip("xyz", as_list(f"point {i}", item, 3))]
+                  for i, item in enumerate(as_list("points", raw))]
+        return PrescribedWorkspace(points=np.array(points, dtype=np.float64).reshape(-1, 3))
 
 
 def save_prescribed(prescribed: PrescribedWorkspace, path: str | Path) -> None:

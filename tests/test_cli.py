@@ -192,6 +192,11 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
      "--config", '{"crossover_rate": null}', "crossover_rate"),
     (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
      "--config", '{"seed": true}', "seed"),
+    (["plan", "--geometry", "g0.json"], "--program",
+     '{"contours": [{"start": [0, 0], "z_plane": -300, "segments": [5]}]}', "segment 0"),
+    (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
+     "--config", '{"size_penalty_weight": Infinity, "population_size": 4, "generations": 1}',
+     "size_penalty_weight"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):

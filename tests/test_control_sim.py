@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,13 @@ def test_trace_file_round_trip(tmp_path):
     again = read_trace(path)
     assert again == result.trace
     assert replay_check(again, stream, faults=faults)
+
+
+def test_read_trace_names_the_file_on_bad_events(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("0\tlaser_off\tlaser\tlaser disabled\n5\tbogus\t\t\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"trace file {path}: line 2: ") + ".*bogus"):
+        read_trace(path)
 
 
 def test_trace_event_validation():

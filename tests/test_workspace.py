@@ -234,6 +234,13 @@ def test_load_grid_rejects_malformed_headers(tmp_path, header):
         load_grid(path)
 
 
+def test_load_grid_rejects_a_too_deeply_nested_header(tmp_path):
+    path = tmp_path / "grid.txt"
+    path.write_bytes(b"[" * 100_000 + b"\n01\n")
+    with pytest.raises(ValueError, match=re.escape(f"grid file {path}: bad header")):
+        load_grid(path)
+
+
 @st.composite
 def grids(draw):
     """Random occupancy over a small box; any dimension may be 1."""
