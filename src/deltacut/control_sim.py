@@ -1,12 +1,20 @@
-"""Deterministic tick-level execution of a setpoint stream under a watchdog.
+"""Watchdog supervision of a setpoint stream, computed from the pulse schedule.
 
 One logical tick per stream sample.  Every supervised process is expected to
 pulse every pulse_period ticks; a fault script suppresses pulses over closed
-tick intervals.  The watchdog measures lateness from the first missed
-expected pulse and trips on the first tick strictly later than that pulse's
-tick plus the timeout.  Worked out for period 1, timeout 4, pulses suppressed
-from tick 20: the last pulse lands at tick 19, the first missed one was due
-at tick 20, and the trip fires at tick 25.
+tick intervals.  After each delivered pulse p, with a virtual pulse at
+-pulse_period so that the first expected pulse is at tick 0, the process
+trips on the first tick strictly later than its next expected pulse plus the
+timeout:
+
+  trip = p + pulse_period + timeout + 1
+
+unless another pulse is delivered first (a pulse on the trip tick itself
+lands first and prevents the trip) or the stream ends first.  Worked out for
+period 1, timeout 4, pulses suppressed from tick 20: the last pulse lands at
+tick 19, the first missed one was due at tick 20, and the trip fires at tick
+25.  Gaps no longer than the timeout produce no events at all; a delivered
+pulse clears a trip, so a later gap can trip again.
 
 Severity decides the corrective action:
 
@@ -15,14 +23,19 @@ Severity decides the corrective action:
                current laser-on run of samples, then holds.
   advisory  -> warning event only; run continues.
 
-Gaps no longer than the timeout produce no events at all.  A received pulse
-clears a process's tripped state, so a later gap can trip again.
+Trips apply in tick order and, on one tick, in the order of the config's
+process table.  A critical trip ends the run at once, so processes after it
+on its tick do not trip.  The first degraded trip fixes the hold tick; trips
+on the hold tick are still logged, before its motion_hold event.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import UnknownProcess, as_count, as_list, fields, naming, read_json, write_json
 from .trajectory import SetpointStream
@@ -31,10 +44,25 @@ SEVERITIES = ("critical", "degraded", "advisory")
 _BUILTIN_PROCESSES = ("motion", "laser", "logging")
 _DEFAULT_SEVERITY = {"motion": "critical", "laser": "degraded", "logging": "advisory"}
 
+_ACTIONS = {
+    "critical": "critical failure: disabling laser and holding motion",
+    "degraded": "degraded failure: disabling laser, finishing current cut",
+    "advisory": "advisory failure: warning logged, run continues",
+}
+
 EVENT_KINDS = (
     "pulse_missed", "watchdog_trip", "corrective_action",
     "laser_off", "motion_hold", "run_complete",
 )
+
+
+def _trace_text(name: str, text) -> str:
+    """text, once it is a string that fits in one field of a trace line:
+    no tab, LF or CR."""
+    if not isinstance(text, str) or any(c in text for c in "\t\n\r"):
+        raise ValueError(f"{name} must be a string without tabs or line breaks, "
+                         f"got {reprlib.repr(text)}")
+    return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +73,7 @@ class ProcessSpec:
     severity: str
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and self.name):
+        if not _trace_text("process name", self.name):
             raise ValueError("process name must be a non-empty string")
         if self.severity not in SEVERITIES:
             raise ValueError(
@@ -148,9 +176,8 @@ class TraceEvent:
         as_count("tick", self.tick, 0)
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        for label, text in (("process_name", self.process_name), ("detail", self.detail)):
-            if not isinstance(text, str) or "\t" in text or "\n" in text:
-                raise ValueError(f"{label} must be a string without tabs or newlines")
+        _trace_text("process_name", self.process_name)
+        _trace_text("detail", self.detail)
 
     def to_line(self) -> str:
         return f"{self.tick}\t{self.kind}\t{self.process_name}\t{self.detail}"
@@ -167,22 +194,13 @@ class SimulationResult:
     trace: tuple[TraceEvent, ...]
 
 
-class _ProcState:
-    __slots__ = ("spec", "last_pulse", "tripped")
-
-    def __init__(self, spec: ProcessSpec, period: int):
-        self.spec = spec
-        # Virtual pulse one period before tick 0: first expected pulse is at 0.
-        self.last_pulse = -period
-        self.tripped = False
-
-
 def simulate(
     stream: SetpointStream,
     config: WatchdogConfig | None = None,
     faults: FaultScript | None = None,
 ) -> SimulationResult:
-    """Run the stream tick by tick under watchdog supervision."""
+    """Run the stream under watchdog supervision: find every trip from the
+    pulse schedule, then apply them in (tick, config order)."""
     cfg = config if config is not None else WatchdogConfig()
     script = faults if faults is not None else FaultScript()
 
@@ -192,92 +210,69 @@ def simulate(
             raise UnknownProcess(
                 f"fault script names unconfigured process {w.process_name!r}"
             )
-    windows_by_proc: dict[str, list[FaultWindow]] = {name: [] for name in known}
-    for w in script.windows:
-        windows_by_proc[w.process_name].append(w)
 
     period = cfg.pulse_period
     timeout = cfg.timeout
-    states = [_ProcState(p, period) for p in cfg.processes]
-    laser_flags = stream.laser
+    lag = period + timeout + 1
     n_ticks = len(stream)
+    trips = []
+    for order, spec in enumerate(cfg.processes):
+        delivered = np.zeros(n_ticks, dtype=bool)
+        delivered[::period] = True
+        for w in script.windows:
+            if w.process_name == spec.name:
+                delivered[w.start_tick:w.end_tick + 1] = False
+        # A virtual pulse one period before tick 0 makes tick 0 the first
+        # expected one.  A pulse trips lag ticks later unless the next one,
+        # or the stream end, comes first; a pulse on the trip tick lands
+        # first.  lag stays a Python int, as timeouts are unbounded.
+        pulses = np.concatenate(([-period], np.flatnonzero(delivered)))
+        late = np.diff(pulses, append=n_ticks) > lag
+        trips += [(pulse + lag, order) for pulse in pulses[late].tolist()]
+    trips.sort()
 
     trace: list[TraceEvent] = []
     failed: list[str] = []
-    coast_hold_tick: int | None = None
-    status = "complete"
-    final_tick = n_ticks - 1
-
-    for tick in range(n_ticks):
-        # Pulses land before the lateness check on the same tick.
-        if tick % period == 0:
-            for st in states:
-                if not any(w.covers(tick) for w in windows_by_proc[st.spec.name]):
-                    st.last_pulse = tick
-                    st.tripped = False
-
-        stopping = False
-        for st in states:
-            if st.tripped:
-                continue
-            expected = st.last_pulse + period
-            late = tick - expected
-            if late <= timeout:
-                continue
-            st.tripped = True
-            name = st.spec.name
-            if name not in failed:
-                failed.append(name)
-            trace.append(TraceEvent(
-                tick, "pulse_missed", name,
-                f"missed pulse expected at tick {expected}",
-            ))
-            trace.append(TraceEvent(
-                tick, "watchdog_trip", name,
-                f"{late} ticks past expected pulse exceeds timeout {timeout}",
-            ))
-            severity = st.spec.severity
-            if severity == "critical":
-                trace.append(TraceEvent(
-                    tick, "corrective_action", name,
-                    "critical failure: disabling laser and holding motion",
-                ))
-                trace.append(TraceEvent(tick, "laser_off", name, "laser disabled"))
-                trace.append(TraceEvent(
-                    tick, "motion_hold", name, "motion held at current setpoint",
-                ))
-                status = "aborted"
-                final_tick = tick
-                stopping = True
-                break
-            if severity == "degraded":
-                trace.append(TraceEvent(
-                    tick, "corrective_action", name,
-                    "degraded failure: disabling laser, finishing current cut",
-                ))
-                trace.append(TraceEvent(tick, "laser_off", name, "laser disabled"))
-                if coast_hold_tick is None:
-                    coast_hold_tick = _laser_run_end(laser_flags, tick)
-            else:
-                trace.append(TraceEvent(
-                    tick, "corrective_action", name,
-                    "advisory failure: warning logged, run continues",
-                ))
-        if stopping:
+    hold_tick: int | None = None
+    for tick, order in trips:
+        if hold_tick is not None and tick > hold_tick:
             break
-
-        if coast_hold_tick is not None and tick >= coast_hold_tick:
-            trace.append(TraceEvent(
-                tick, "motion_hold", "", "motion held at end of current cut",
-            ))
-            status = "held"
-            final_tick = tick
-            break
-    else:
+        spec = cfg.processes[order]
+        name = spec.name
+        expected = tick - timeout - 1
+        if name not in failed:
+            failed.append(name)
         trace.append(TraceEvent(
-            n_ticks - 1, "run_complete", "", f"{n_ticks} samples executed",
+            tick, "pulse_missed", name, f"missed pulse expected at tick {expected}",
         ))
+        trace.append(TraceEvent(
+            tick, "watchdog_trip", name,
+            f"{timeout + 1} ticks past expected pulse exceeds timeout {timeout}",
+        ))
+        trace.append(TraceEvent(tick, "corrective_action", name, _ACTIONS[spec.severity]))
+        if spec.severity == "advisory":
+            continue
+        trace.append(TraceEvent(tick, "laser_off", name, "laser disabled"))
+        if spec.severity == "critical":
+            trace.append(TraceEvent(
+                tick, "motion_hold", name, "motion held at current setpoint",
+            ))
+            return _result(stream, "aborted", tick, failed, trace)
+        if hold_tick is None:
+            hold_tick = _laser_run_end(stream.laser, tick)
 
+    if hold_tick is not None:
+        trace.append(TraceEvent(
+            hold_tick, "motion_hold", "", "motion held at end of current cut",
+        ))
+        return _result(stream, "held", hold_tick, failed, trace)
+    trace.append(TraceEvent(
+        n_ticks - 1, "run_complete", "", f"{n_ticks} samples executed",
+    ))
+    return _result(stream, "complete", n_ticks - 1, failed, trace)
+
+
+def _result(stream, status: str, final_tick: int, failed, trace) -> SimulationResult:
     pose = stream.poses[final_tick]
     return SimulationResult(
         status=status,

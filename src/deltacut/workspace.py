@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json
+from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
 from .kinematics import reachable_mask
 
@@ -318,9 +318,7 @@ def load_prescribed(path: str | Path) -> PrescribedWorkspace:
 
 
 def save_prescribed(prescribed: PrescribedWorkspace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([[float(v) for v in row] for row in prescribed.points], fh)
-        fh.write("\n")
+    write_json([[float(v) for v in row] for row in prescribed.points], path)
 
 
 def is_reachable_many(geometry: RobotGeometry, points: np.ndarray) -> np.ndarray:

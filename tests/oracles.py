@@ -6,6 +6,10 @@ radical line and an explicit quadratic, and the three-sphere solve
 parametrises the intersection line of the two difference planes with a
 least-squares particular point.  Agreement with the package is therefore
 evidence, not tautology.
+
+simulate_ticks is the watchdog as it first ran: a state machine stepped
+through every tick, rescanning the fault windows on each pulse tick.  The
+package finds the same trips from the pulse schedule instead.
 """
 
 from __future__ import annotations
@@ -14,6 +18,17 @@ import json
 import math
 
 import numpy as np
+
+from deltacut.control_sim import (
+    FaultScript,
+    FaultWindow,
+    ProcessSpec,
+    SimulationResult,
+    TraceEvent,
+    WatchdogConfig,
+)
+from deltacut.errors import UnknownProcess
+from deltacut.trajectory import SetpointStream
 
 TOL = 1e-12
 
@@ -237,3 +252,135 @@ def trapezoid_position(length, feed, a_max, t):
         return 0.5 * a_max * t_acc * t_acc + v * (t - t_acc)
     tau = total - t
     return length - 0.5 * a_max * tau * tau
+
+
+class _ProcState:
+    __slots__ = ("spec", "last_pulse", "tripped")
+
+    def __init__(self, spec: ProcessSpec, period: int):
+        self.spec = spec
+        # Virtual pulse one period before tick 0: first expected pulse is at 0.
+        self.last_pulse = -period
+        self.tripped = False
+
+
+def simulate_ticks(
+    stream: SetpointStream,
+    config: WatchdogConfig | None = None,
+    faults: FaultScript | None = None,
+) -> SimulationResult:
+    """Run the stream tick by tick under watchdog supervision."""
+    cfg = config if config is not None else WatchdogConfig()
+    script = faults if faults is not None else FaultScript()
+
+    known = {p.name for p in cfg.processes}
+    for w in script.windows:
+        if w.process_name not in known:
+            raise UnknownProcess(
+                f"fault script names unconfigured process {w.process_name!r}"
+            )
+    windows_by_proc: dict[str, list[FaultWindow]] = {name: [] for name in known}
+    for w in script.windows:
+        windows_by_proc[w.process_name].append(w)
+
+    period = cfg.pulse_period
+    timeout = cfg.timeout
+    states = [_ProcState(p, period) for p in cfg.processes]
+    laser_flags = stream.laser
+    n_ticks = len(stream)
+
+    trace: list[TraceEvent] = []
+    failed: list[str] = []
+    coast_hold_tick: int | None = None
+    status = "complete"
+    final_tick = n_ticks - 1
+
+    for tick in range(n_ticks):
+        # Pulses land before the lateness check on the same tick.
+        if tick % period == 0:
+            for st in states:
+                if not any(w.covers(tick) for w in windows_by_proc[st.spec.name]):
+                    st.last_pulse = tick
+                    st.tripped = False
+
+        stopping = False
+        for st in states:
+            if st.tripped:
+                continue
+            expected = st.last_pulse + period
+            late = tick - expected
+            if late <= timeout:
+                continue
+            st.tripped = True
+            name = st.spec.name
+            if name not in failed:
+                failed.append(name)
+            trace.append(TraceEvent(
+                tick, "pulse_missed", name,
+                f"missed pulse expected at tick {expected}",
+            ))
+            trace.append(TraceEvent(
+                tick, "watchdog_trip", name,
+                f"{late} ticks past expected pulse exceeds timeout {timeout}",
+            ))
+            severity = st.spec.severity
+            if severity == "critical":
+                trace.append(TraceEvent(
+                    tick, "corrective_action", name,
+                    "critical failure: disabling laser and holding motion",
+                ))
+                trace.append(TraceEvent(tick, "laser_off", name, "laser disabled"))
+                trace.append(TraceEvent(
+                    tick, "motion_hold", name, "motion held at current setpoint",
+                ))
+                status = "aborted"
+                final_tick = tick
+                stopping = True
+                break
+            if severity == "degraded":
+                trace.append(TraceEvent(
+                    tick, "corrective_action", name,
+                    "degraded failure: disabling laser, finishing current cut",
+                ))
+                trace.append(TraceEvent(tick, "laser_off", name, "laser disabled"))
+                if coast_hold_tick is None:
+                    coast_hold_tick = _laser_run_end(laser_flags, tick)
+            else:
+                trace.append(TraceEvent(
+                    tick, "corrective_action", name,
+                    "advisory failure: warning logged, run continues",
+                ))
+        if stopping:
+            break
+
+        if coast_hold_tick is not None and tick >= coast_hold_tick:
+            trace.append(TraceEvent(
+                tick, "motion_hold", "", "motion held at end of current cut",
+            ))
+            status = "held"
+            final_tick = tick
+            break
+    else:
+        trace.append(TraceEvent(
+            n_ticks - 1, "run_complete", "", f"{n_ticks} samples executed",
+        ))
+
+    pose = stream.poses[final_tick]
+    return SimulationResult(
+        status=status,
+        final_tick=final_tick,
+        final_pose=(float(pose[0]), float(pose[1]), float(pose[2])),
+        failed_processes=tuple(failed),
+        trace=tuple(trace),
+    )
+
+
+def _laser_run_end(laser_flags, tick: int) -> int:
+    """Last index of the laser-on run covering tick; tick itself if laser is off."""
+    n = laser_flags.shape[0]
+    if not bool(laser_flags[tick]):
+        return tick
+    end = tick
+    while end + 1 < n and bool(laser_flags[end + 1]):
+        end += 1
+    return end

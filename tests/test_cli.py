@@ -197,6 +197,8 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
     (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
      "--config", '{"size_penalty_weight": Infinity, "population_size": 4, "generations": 1}',
      "size_penalty_weight"),
+    (["simulate", "--stream", "line100_stream.csv"], "--config",
+     '{"processes": [{"name": "log\\tging", "severity": "advisory"}]}', "process 0"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):

@@ -1,8 +1,12 @@
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from deltacut import (
     FaultScript,
     FaultWindow,
@@ -23,6 +27,7 @@ from deltacut import (
     simulate,
     write_trace,
 )
+from deltacut.control_sim import SEVERITIES
 
 TICK = 0.0025
 
@@ -236,6 +241,8 @@ def test_trace_event_validation():
         TraceEvent(0, "laser_off", detail="a\tb")
     with pytest.raises(ValueError):
         TraceEvent(0, "laser_off", detail="a\nb")
+    with pytest.raises(ValueError, match="process_name"):
+        TraceEvent(0, "laser_off", "las\rer")
     line = TraceEvent(3, "laser_off", "laser", "laser disabled").to_line()
     assert line == "3\tlaser_off\tlaser\tlaser disabled"
 
@@ -302,3 +309,52 @@ def test_fault_script_accepts_bare_list(tmp_path):
                     ' "end_tick": 2}]', encoding="utf-8")
     script = load_fault_script(path)
     assert script.windows == (FaultWindow("laser", 1, 2),)
+
+
+@st.composite
+def watchdog_cases(draw):
+    """A stream of 1 to 200 samples with a random laser pattern, a config
+    with 1-5 extra processes of each severity in random order and a timeout
+    that may exceed any integer array, and windows that overlap, start at
+    tick 0 or run past the end."""
+    n = draw(st.integers(1, 200))
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), min_size=1))
+    laser = [on for on, length in runs for _ in range(length)]
+    laser = (laser * n)[:n]
+    period = draw(st.integers(1, 6))
+    timeout = draw(st.one_of(st.integers(period, period + 8), st.just(2**64)))
+    procs = list(default_processes())
+    for severity in SEVERITIES:
+        procs += [ProcessSpec(f"{severity}{i}", severity)
+                  for i in range(draw(st.integers(1, 5)))]
+    procs = draw(st.permutations(procs))
+    names = [p.name for p in procs]
+    windows = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.one_of(st.just(0), st.integers(0, 30), st.integers(0, n + 5)))
+        length = draw(st.one_of(st.integers(0, 12), st.integers(0, n + 5)))
+        windows.append(FaultWindow(draw(st.sampled_from(names)), start, start + length))
+    return (make_stream(n, laser), WatchdogConfig(period, timeout, tuple(procs)),
+            FaultScript(tuple(windows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=watchdog_cases())
+def test_trips_from_the_pulse_schedule_match_the_tick_loop(case):
+    stream, cfg, faults = case
+    result = simulate(stream, cfg, faults)
+    reference = oracles.simulate_ticks(stream, cfg, faults)
+    assert result == reference
+    assert format_trace(result.trace) == format_trace(reference.trace)
+
+
+def test_long_faulted_stream_costs_no_time_per_tick():
+    stream = make_stream(200_000)
+    faults = FaultScript(tuple(FaultWindow("logging", 100 * i, 100 * i + 50)
+                               for i in range(2000)))
+    t0 = time.perf_counter()
+    result = simulate(stream, faults=faults)
+    elapsed = time.perf_counter() - t0
+    assert result.status == "complete"
+    assert sum(e.kind == "watchdog_trip" for e in result.trace) == 2000
+    assert elapsed < 1.0, f"{elapsed:.3f} s"

@@ -31,6 +31,7 @@ from deltacut import (
     volume_estimate,
     workspace,
 )
+from deltacut.errors import json_text
 from oracles import grid_dump_bytes
 
 
@@ -108,6 +109,7 @@ def test_prescribed_file_round_trip(tmp_path):
     pts = PrescribedWorkspace(points=np.array([[1.0, 2.0, -3.0], [4.0, 5.0, -6.0]]))
     path = tmp_path / "points.json"
     save_prescribed(pts, path)
+    assert path.read_bytes() == json_text([[1.0, 2.0, -3.0], [4.0, 5.0, -6.0]]).encode()
     again = load_prescribed(path)
     assert np.array_equal(again.points, pts.points)
 
