@@ -33,9 +33,11 @@ from deltacut import (
     load_bounds,
     load_ga_config,
     load_prescribed,
+    load_program,
     random_search,
     run_ga,
     plan_program,
+    validate_stream,
     write_stream_csv,
 )
 
@@ -267,6 +269,15 @@ def gen_stream():
     path = FIXTURES / "line100_stream.csv"
     write_stream_csv(stream, path)
     print(f"wrote {path}")
+
+    # The arc (full circle, cw and ccw) and rapid streams are frozen as
+    # planned, once the validator has passed them.
+    for name in ("circle50", "multi"):
+        stream = plan_program(geometry, load_program(FIXTURES / f"programs/{name}.json"))
+        assert validate_stream(geometry, stream).ok, name
+        path = FIXTURES / f"{name}_stream.csv"
+        write_stream_csv(stream, path)
+        print(f"wrote {path}")
 
 
 def gen_design_opt():

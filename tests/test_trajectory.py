@@ -222,6 +222,14 @@ def test_csv_round_trip(tmp_path, g0):
     assert path.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["line100", "circle50", "multi"])
+def test_planned_streams_match_the_frozen_bytes(g0, fixtures_dir, tmp_path, name):
+    stream = plan_program(g0, load_program(fixtures_dir / f"programs/{name}.json"))
+    path = tmp_path / "stream.csv"
+    write_stream_csv(stream, path)
+    assert path.read_bytes() == (fixtures_dir / f"{name}_stream.csv").read_bytes()
+
+
 def test_csv_header_is_enforced(tmp_path):
     path = tmp_path / "stream.csv"
     path.write_text("time,x,y,z,a,b,c,laser\n0,0,0,-300,0,0,0,1\n", encoding="utf-8")
