@@ -285,13 +285,11 @@ def _result(stream, status: str, final_tick: int, failed, trace) -> SimulationRe
 
 def _laser_run_end(laser_flags, tick: int) -> int:
     """Last index of the laser-on run covering tick; tick itself if laser is off."""
-    n = laser_flags.shape[0]
-    if not bool(laser_flags[tick]):
-        return tick
-    end = tick
-    while end + 1 < n and bool(laser_flags[end + 1]):
-        end += 1
-    return end
+    run = laser_flags[tick:]
+    off = int(np.argmin(run))  # first laser-off sample, or 0 if there is none
+    if run[off]:
+        off = run.shape[0]
+    return tick + max(off - 1, 0)
 
 
 def replay_check(

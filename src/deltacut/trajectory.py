@@ -55,19 +55,17 @@ class MotionProfile:
     t_cruise: float
     total_time: float
 
-    def position(self, t: float) -> float:
-        """Arc length travelled at time t, clamped to [0, length]."""
-        if t <= 0.0:
-            return 0.0
-        if t >= self.total_time:
-            return self.length
-        if t < self.t_accel:
-            return 0.5 * self.accel * t * t
+    def position(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Arc length travelled at time(s) t, clamped to [0, length]."""
+        t = np.asarray(t, dtype=np.float64)
         d_acc = 0.5 * self.accel * self.t_accel * self.t_accel
-        if t < self.t_accel + self.t_cruise:
-            return d_acc + self.v_peak * (t - self.t_accel)
         tau = self.total_time - t
-        return self.length - 0.5 * self.accel * tau * tau
+        return np.where(t <= 0.0, 0.0,
+               np.where(t >= self.total_time, self.length,
+               np.where(t < self.t_accel, 0.5 * self.accel * t * t,
+               np.where(t < self.t_accel + self.t_cruise,
+                        d_acc + self.v_peak * (t - self.t_accel),
+                        self.length - 0.5 * self.accel * tau * tau))))[()]
 
     def speed(self, t: float) -> float:
         if t <= 0.0 or t >= self.total_time:
@@ -191,13 +189,9 @@ class _LinePath:
         self.p1 = p1
         self.length = math.dist(p0, p1)
 
-    def point(self, s: float) -> tuple[float, float, float]:
+    def points(self, s: np.ndarray) -> np.ndarray:
         u = s / self.length
-        return (
-            self.p0[0] + u * (self.p1[0] - self.p0[0]),
-            self.p0[1] + u * (self.p1[1] - self.p0[1]),
-            self.p0[2] + u * (self.p1[2] - self.p0[2]),
-        )
+        return np.column_stack([a + u * (b - a) for a, b in zip(self.p0, self.p1)])
 
 
 class _ArcPath:
@@ -230,13 +224,15 @@ class _ArcPath:
         self.length = self.radius * abs(sweep)
         self.p1 = (seg.end[0], seg.end[1], z)
 
-    def point(self, s: float) -> tuple[float, float, float]:
-        ang = self.a0 + self.sweep * (s / self.length)
-        return (
-            self.center[0] + self.radius * math.cos(ang),
-            self.center[1] + self.radius * math.sin(ang),
-            self.z,
-        )
+    def points(self, s: np.ndarray) -> np.ndarray:
+        # math.cos/math.sin: np.cos/np.sin can differ by one ulp on some
+        # hosts and would move the frozen streams.
+        ang = (self.a0 + self.sweep * (s / self.length)).tolist()
+        return np.column_stack((
+            self.center[0] + self.radius * np.array(list(map(math.cos, ang))),
+            self.center[1] + self.radius * np.array(list(map(math.sin, ang))),
+            np.full(len(ang), self.z),
+        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,48 +335,33 @@ def plan_program(
     motions = build_motions(program, lim)
     tick = lim.tick
 
-    times: list[float] = []
-    poses: list[tuple[float, float, float]] = []
-    laser: list[bool] = []
+    times, poses, laser = [], [], []
     start_tick = 0
-    prev_end_t = None
     for motion in motions:
-        if prev_end_t is not None:
-            start_tick = math.floor(prev_end_t / tick + 1e-12) + 1
         total = motion.profile.total_time
         # ceil(total/tick) whole-tick samples plus the clamped final one; the
         # slack tolerates one-ulp noise when total is an exact tick multiple.
-        steps = math.ceil(total / tick - 1e-12)
-        for k in range(steps):
-            t_local = k * tick
-            s = motion.profile.position(t_local)
-            times.append((start_tick + k) * tick)
-            poses.append(motion.path.point(s))
-            laser.append(motion.laser_on)
+        k = np.arange(math.ceil(total / tick - 1e-12))
         end_t = start_tick * tick + total
-        times.append(end_t)
-        poses.append(motion.path.p1)
-        laser.append(motion.laser_on)
-        prev_end_t = end_t
+        times += [(start_tick + k) * tick, [end_t]]
+        poses += [motion.path.points(motion.profile.position(k * tick)), [motion.path.p1]]
+        laser.append(np.full(k.size + 1, motion.laser_on))
+        start_tick = math.floor(end_t / tick + 1e-12) + 1
 
-    pose_array = np.array(poses, dtype=np.float64)
+    t = np.concatenate(times)
+    pose_array = np.concatenate(poses)
     joints, reachable = inverse_kinematics_many(geometry, pose_array)
     if not reachable.all():
         # The scalar solver shares the kernel, so it fails here too and
         # names the arm and the reason.
         i = int(np.argmin(reachable))
-        pose = Pose(*poses[i])
+        pose = Pose(*pose_array[i].tolist())
         try:
             inverse_kinematics(geometry, pose)
         except Unreachable as exc:
-            raise UnreachableSample(times[i], pose, exc.arm_index) from exc
+            raise UnreachableSample(float(t[i]), pose, exc.arm_index) from exc
 
-    return SetpointStream(
-        t=np.array(times, dtype=np.float64),
-        poses=pose_array,
-        joints=joints,
-        laser=np.array(laser, dtype=bool),
-    )
+    return SetpointStream(t=t, poses=pose_array, joints=joints, laser=np.concatenate(laser))
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,22 +450,11 @@ def validate_stream(
 
 def write_stream_csv(stream: SetpointStream, path: str | Path) -> None:
     """Write the stream contract CSV: fixed header, 17 significant digits, LF."""
+    rows = np.column_stack((stream.t, stream.poses, stream.joints, stream.laser)).tolist()
+    line = "%.17g," * 7 + "%d\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_CSV_HEADER))
-        fh.write("\n")
-        for i in range(len(stream)):
-            row = [
-                _fmt(stream.t[i]),
-                _fmt(stream.poses[i, 0]), _fmt(stream.poses[i, 1]), _fmt(stream.poses[i, 2]),
-                _fmt(stream.joints[i, 0]), _fmt(stream.joints[i, 1]), _fmt(stream.joints[i, 2]),
-                "1" if stream.laser[i] else "0",
-            ]
-            fh.write(",".join(row))
-            fh.write("\n")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+        fh.write(",".join(_CSV_HEADER) + "\n")
+        fh.write("".join(line % tuple(row) for row in rows))
 
 
 def read_stream_csv(path: str | Path) -> SetpointStream:

@@ -10,6 +10,11 @@ evidence, not tautology.
 simulate_ticks is the watchdog as it first ran: a state machine stepped
 through every tick, rescanning the fault windows on each pulse tick.  The
 package finds the same trips from the pulse schedule instead.
+
+plan_samples and write_stream_rows are the planner's sampling loop and the
+stream writer as they first ran: one profile position, one path point and
+one formatted value at a time.  The package computes the same samples and
+bytes from whole arrays.
 """
 
 from __future__ import annotations
@@ -27,8 +32,17 @@ from deltacut.control_sim import (
     TraceEvent,
     WatchdogConfig,
 )
-from deltacut.errors import UnknownProcess
-from deltacut.trajectory import SetpointStream
+from deltacut.errors import UnknownProcess, Unreachable, UnreachableSample
+from deltacut.geometry import Pose
+from deltacut.kinematics import inverse_kinematics, inverse_kinematics_many
+from deltacut.trajectory import (
+    _CSV_HEADER,
+    MachineLimits,
+    SetpointStream,
+    _ArcPath,
+    _LinePath,
+    build_motions,
+)
 
 TOL = 1e-12
 
@@ -384,3 +398,104 @@ def _laser_run_end(laser_flags, tick: int) -> int:
     while end + 1 < n and bool(laser_flags[end + 1]):
         end += 1
     return end
+
+
+def profile_position(profile, t: float) -> float:
+    """Arc length travelled at time t, clamped to [0, length]."""
+    if t <= 0.0:
+        return 0.0
+    if t >= profile.total_time:
+        return profile.length
+    if t < profile.t_accel:
+        return 0.5 * profile.accel * t * t
+    d_acc = 0.5 * profile.accel * profile.t_accel * profile.t_accel
+    if t < profile.t_accel + profile.t_cruise:
+        return d_acc + profile.v_peak * (t - profile.t_accel)
+    tau = profile.total_time - t
+    return profile.length - 0.5 * profile.accel * tau * tau
+
+
+def path_point(path, s: float) -> tuple[float, float, float]:
+    """Point at arc length s along a line or arc path."""
+    if isinstance(path, _LinePath):
+        u = s / path.length
+        return (
+            path.p0[0] + u * (path.p1[0] - path.p0[0]),
+            path.p0[1] + u * (path.p1[1] - path.p0[1]),
+            path.p0[2] + u * (path.p1[2] - path.p0[2]),
+        )
+    assert isinstance(path, _ArcPath)
+    ang = path.a0 + path.sweep * (s / path.length)
+    return (
+        path.center[0] + path.radius * math.cos(ang),
+        path.center[1] + path.radius * math.sin(ang),
+        path.z,
+    )
+
+
+def plan_samples(geometry, program, limits: MachineLimits | None = None) -> SetpointStream:
+    """plan_program as a loop over samples; same stream, same errors."""
+    lim = limits if limits is not None else MachineLimits()
+    motions = build_motions(program, lim)
+    tick = lim.tick
+
+    times: list[float] = []
+    poses: list[tuple[float, float, float]] = []
+    laser: list[bool] = []
+    start_tick = 0
+    prev_end_t = None
+    for motion in motions:
+        if prev_end_t is not None:
+            start_tick = math.floor(prev_end_t / tick + 1e-12) + 1
+        total = motion.profile.total_time
+        # ceil(total/tick) whole-tick samples plus the clamped final one; the
+        # slack tolerates one-ulp noise when total is an exact tick multiple.
+        steps = math.ceil(total / tick - 1e-12)
+        for k in range(steps):
+            t_local = k * tick
+            s = profile_position(motion.profile, t_local)
+            times.append((start_tick + k) * tick)
+            poses.append(path_point(motion.path, s))
+            laser.append(motion.laser_on)
+        end_t = start_tick * tick + total
+        times.append(end_t)
+        poses.append(motion.path.p1)
+        laser.append(motion.laser_on)
+        prev_end_t = end_t
+
+    pose_array = np.array(poses, dtype=np.float64)
+    joints, reachable = inverse_kinematics_many(geometry, pose_array)
+    if not reachable.all():
+        i = int(np.argmin(reachable))
+        pose = Pose(*poses[i])
+        try:
+            inverse_kinematics(geometry, pose)
+        except Unreachable as exc:
+            raise UnreachableSample(times[i], pose, exc.arm_index) from exc
+
+    return SetpointStream(
+        t=np.array(times, dtype=np.float64),
+        poses=pose_array,
+        joints=joints,
+        laser=np.array(laser, dtype=bool),
+    )
+
+
+def write_stream_rows(stream: SetpointStream, path) -> None:
+    """write_stream_csv one formatted value at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_CSV_HEADER))
+        fh.write("\n")
+        for i in range(len(stream)):
+            row = [
+                _fmt(stream.t[i]),
+                _fmt(stream.poses[i, 0]), _fmt(stream.poses[i, 1]), _fmt(stream.poses[i, 2]),
+                _fmt(stream.joints[i, 0]), _fmt(stream.joints[i, 1]), _fmt(stream.joints[i, 2]),
+                "1" if stream.laser[i] else "0",
+            ]
+            fh.write(",".join(row))
+            fh.write("\n")
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")

@@ -348,13 +348,18 @@ def test_trips_from_the_pulse_schedule_match_the_tick_loop(case):
     assert format_trace(result.trace) == format_trace(reference.trace)
 
 
-def test_long_faulted_stream_costs_no_time_per_tick():
+@pytest.mark.parametrize("windows, status, trips", [
+    # 2,000 advisory trips spread over the whole run.
+    ([FaultWindow("logging", 100 * i, 100 * i + 50) for i in range(2000)], "complete", 2000),
+    # One degraded trip early in a laser-on run that lasts to the end.
+    ([FaultWindow("laser", 10, 20)], "held", 1),
+], ids=["logging_2000", "laser_early"])
+def test_long_faulted_stream_costs_no_time_per_tick(windows, status, trips):
     stream = make_stream(200_000)
-    faults = FaultScript(tuple(FaultWindow("logging", 100 * i, 100 * i + 50)
-                               for i in range(2000)))
     t0 = time.perf_counter()
-    result = simulate(stream, faults=faults)
+    result = simulate(stream, faults=FaultScript(tuple(windows)))
     elapsed = time.perf_counter() - t0
-    assert result.status == "complete"
-    assert sum(e.kind == "watchdog_trip" for e in result.trace) == 2000
+    assert result.status == status
+    assert sum(e.kind == "watchdog_trip" for e in result.trace) == trips
+    assert result.final_tick == 199_999
     assert elapsed < 1.0, f"{elapsed:.3f} s"
