@@ -11,10 +11,12 @@ each junction and timestamps stay strictly increasing.
 
 from __future__ import annotations
 
-import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -26,6 +28,10 @@ from .kinematics import inverse_kinematics, inverse_kinematics_many
 _CSV_HEADER = ("t", "x", "y", "z", "theta1", "theta2", "theta3", "laser")
 _ARC_RADIUS_TOL = 1e-6
 _FULL_CIRCLE_TOL = 1e-9
+
+# Most stream CSV lines read_stream_csv parses at once, so that its string
+# and float temporaries stay a fixed size whatever the stream length.
+STREAM_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,40 +464,105 @@ def write_stream_csv(stream: SetpointStream, path: str | Path) -> None:
 
 
 def read_stream_csv(path: str | Path) -> SetpointStream:
-    """Read a stream written by write_stream_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidStream(f"stream file {path} is empty") from None
-        if tuple(header) != _CSV_HEADER:
+    """Read a stream written by write_stream_csv.
+
+    Lines end at LF, CRLF or a lone CR (universal newlines turn each into
+    LF), and blank lines are skipped.  The rows are parsed STREAM_BLOCK_ROWS
+    lines at a time into arrays sized by one count of the file's line ends,
+    so memory beyond the result stays a fixed size.  A block is split and
+    converted in one pass; when any line of it is bad, _raise_bad_line
+    makes the same float() and int() calls line by line and names the first
+    bad one.
+    """
+    with open(path, "rb") as raw:
+        # Line ends, at least the data rows: each LF, and each CR not
+        # followed by LF in the same chunk (a CRLF split across two chunks
+        # counts twice, which only over-sizes the arrays).
+        cap = 0
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            cap += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            if b"\r" in chunk:
+                cap += chunk.count(b"\r") - chunk.count(b"\r\n")
+        raw.seek(0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8")
+        header = fh.readline()
+        if not header:
+            raise InvalidStream(f"stream file {path} is empty")
+        if tuple(header.rstrip("\n").split(",")) != _CSV_HEADER:
             raise InvalidStream(
                 f"stream file {path}: header must be {','.join(_CSV_HEADER)}"
             )
-        times, poses, joints, laser = [], [], [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 8:
-                raise InvalidStream(f"stream file {path}: line {ln} has {len(row)} fields")
-            try:
-                values = [float(v) for v in row[:7]]
-                flag = int(row[7])
-            except ValueError as exc:
-                raise InvalidStream(f"stream file {path}: line {ln}: {exc}") from exc
-            if flag not in (0, 1):
-                raise InvalidStream(f"stream file {path}: line {ln}: laser must be 0 or 1")
-            times.append(values[0])
-            poses.append(values[1:4])
-            joints.append(values[4:7])
-            laser.append(bool(flag))
-    if not times:
+        t, poses, joints = np.empty(cap), np.empty((cap, 3)), np.empty((cap, 3))
+        laser = np.empty(cap, dtype=bool)
+        n, ln, prev_t = 0, 2, -math.inf
+        while lines := list(islice(fh, STREAM_BLOCK_ROWS)):
+            rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
+            if rows:
+                block = _parse_block(rows, prev_t)
+                if block is None:
+                    _raise_bad_line(path, lines, ln, prev_t)
+                values, flags = block
+                m = n + len(rows)
+                t[n:m], poses[n:m], joints[n:m] = values[:, 0], values[:, 1:4], values[:, 4:7]
+                laser[n:m] = flags
+                n, prev_t = m, values[-1, 0]
+            ln += len(lines)
+    if n == 0:
         raise InvalidStream(f"stream file {path} has no samples")
-    return SetpointStream(
-        t=np.array(times), poses=np.array(poses),
-        joints=np.array(joints), laser=np.array(laser, dtype=bool),
-    )
+    for arr in (t, poses, joints, laser):
+        arr.resize((n,) + arr.shape[1:], refcheck=False)
+    return SetpointStream(t=t, poses=poses, joints=joints, laser=laser)
+
+
+def _parse_block(rows: list[str], prev_t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (k, 7) values and k laser flags of k non-blank lines, or None.
+
+    None when any line has the wrong field count, a field float() or int()
+    refuses, a laser flag other than 0 or 1, a non-finite value, or a time
+    not above the one before it (prev_t for the first line).  The lines keep
+    their LF, which int() strips from the laser field.
+    """
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    if (commas != 7).any():
+        return None
+    fields = ",".join(rows).split(",")
+    flags = fields[7::8]
+    del fields[7::8]
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 7)
+        flags = np.fromiter(map(int, flags), np.int64, len(flags))
+    except (ValueError, OverflowError):  # OverflowError: a flag beyond int64
+        return None
+    t = values[:, 0]
+    if (flags.min() < 0 or flags.max() > 1 or not np.isfinite(values).all()
+            or not t[0] > prev_t or not (t[1:] > t[:-1]).all()):
+        return None
+    return values, flags
+
+
+def _raise_bad_line(path, lines: list[str], first: int, prev_t: float) -> NoReturn:
+    """Raise InvalidStream naming the first bad line of a block from line first."""
+    for ln, line in enumerate(lines, start=first):
+        row = line.rstrip("\n").split(",")
+        if row == [""]:
+            continue
+        where = f"stream file {path}: line {ln}"
+        if len(row) != 8:
+            raise InvalidStream(f"{where} has {len(row)} fields")
+        try:
+            values = [float(v) for v in row[:7]]
+            flag = int(row[7])
+        except ValueError as exc:
+            raise InvalidStream(f"{where}: {exc}") from exc
+        if flag not in (0, 1):
+            raise InvalidStream(f"{where}: laser must be 0 or 1")
+        for name, value in zip(_CSV_HEADER, values):
+            if not math.isfinite(value):
+                raise InvalidStream(f"{where}: {name} must be finite, got {value}")
+        if not values[0] > prev_t:
+            raise InvalidStream(f"{where}: timestamps must be strictly increasing")
+        prev_t = values[0]
+    raise AssertionError(f"stream file {path}: no bad line in the block from line {first}")
 
 
 def load_program(path: str | Path) -> CutProgram:

@@ -15,10 +15,15 @@ plan_samples and write_stream_rows are the planner's sampling loop and the
 stream writer as they first ran: one profile position, one path point and
 one formatted value at a time.  The package computes the same samples and
 bytes from whole arrays.
+
+read_stream_rows is the stream reader as it first ran: csv.reader, one row
+and one float() per field at a time.  The package parses blocks of lines at
+once and also names the line of a non-finite or out-of-order value.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -32,7 +37,7 @@ from deltacut.control_sim import (
     TraceEvent,
     WatchdogConfig,
 )
-from deltacut.errors import UnknownProcess, Unreachable, UnreachableSample
+from deltacut.errors import InvalidStream, UnknownProcess, Unreachable, UnreachableSample
 from deltacut.geometry import Pose
 from deltacut.kinematics import inverse_kinematics, inverse_kinematics_many
 from deltacut.trajectory import (
@@ -499,3 +504,40 @@ def write_stream_rows(stream: SetpointStream, path) -> None:
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def read_stream_rows(path) -> SetpointStream:
+    """read_stream_csv one csv.reader row at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InvalidStream(f"stream file {path} is empty") from None
+        if tuple(header) != _CSV_HEADER:
+            raise InvalidStream(
+                f"stream file {path}: header must be {','.join(_CSV_HEADER)}"
+            )
+        times, poses, joints, laser = [], [], [], []
+        for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 8:
+                raise InvalidStream(f"stream file {path}: line {ln} has {len(row)} fields")
+            try:
+                values = [float(v) for v in row[:7]]
+                flag = int(row[7])
+            except ValueError as exc:
+                raise InvalidStream(f"stream file {path}: line {ln}: {exc}") from exc
+            if flag not in (0, 1):
+                raise InvalidStream(f"stream file {path}: line {ln}: laser must be 0 or 1")
+            times.append(values[0])
+            poses.append(values[1:4])
+            joints.append(values[4:7])
+            laser.append(bool(flag))
+    if not times:
+        raise InvalidStream(f"stream file {path} has no samples")
+    return SetpointStream(
+        t=np.array(times), poses=np.array(poses),
+        joints=np.array(joints), laser=np.array(laser, dtype=bool),
+    )

@@ -1,6 +1,8 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from deltacut import (
     plan_profile,
     plan_program,
     read_stream_csv,
+    trajectory,
     validate_stream,
     write_stream_csv,
 )
@@ -434,3 +437,172 @@ def test_array_writer_matches_the_value_writer(stream):
         write_stream_csv(stream, got)
         oracles.write_stream_rows(stream, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_names_the_line_of_a_non_finite_time(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text("t,x,y,z,theta1,theta2,theta3,laser\n"
+                    "0,0,0,-300,0,0,0,1\n\nnan,0,0,-300,0,0,0,1\n", encoding="utf-8")
+    with pytest.raises(InvalidStream, match=r"line 4: t must be finite, got nan$"):
+        read_stream_csv(path)
+
+
+def test_csv_refuses_quoted_fields(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text('t,x,y,z,theta1,theta2,theta3,laser\n"0",0,0,-300,0,0,0,1\n',
+                    encoding="utf-8")
+    assert len(oracles.read_stream_rows(path)) == 1  # csv.reader unquoted it
+    with pytest.raises(InvalidStream, match=r"""line 2: could not convert string to float: '"0"'$"""):
+        read_stream_csv(path)
+
+
+def test_stream_read_memory_is_bounded(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(8)
+    stream = SetpointStream(t=np.arange(n) * TICK, poses=rng.uniform(-400.0, 400.0, (n, 3)),
+                            joints=rng.uniform(-1.0, 2.0, (n, 3)), laser=rng.random(n) < 0.5)
+    path = tmp_path / "long.csv"
+    write_stream_csv(stream, path)
+    tracemalloc.start()
+    try:
+        got = read_stream_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
+    # Blocks of STREAM_BLOCK_ROWS lines take about 5 MB whatever the row
+    # count; the row-by-row reader peaked at 86 MB on this file.
+    assert peak < result + 6 * 2**20
+
+
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# float() and int() strip \x0b, \x0c, \x85, \u2028 and \u2029 but refuse
+# \x1c-\x1e; none of them ends a line, though str.splitlines() splits on all.
+ODD = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+BAD_NUMBERS = st.sampled_from(["x", "", "1.5.2", "0x10", "1e", "--1", "1 2", "\x1c", "NaNx"])
+BAD_FLAGS = st.sampled_from(["2", "x", "01", "-1", "1.0", " 1 ", "", "9" * 25, "True", "0\x0c"])
+
+
+@st.composite
+def data_lines(draw):
+    """The data lines of a valid stream, its fields padded with whitespace."""
+    stream = draw(raw_streams())
+    table = np.column_stack((stream.t, stream.poses, stream.joints)).tolist()
+    pad = st.sampled_from(["", " ", "  ", "\x0c", "\u2028"])
+    lines = []
+    for row, flag in zip(table, stream.laser.tolist()):
+        fields = [draw(st.sampled_from([repr, "%.17g".__mod__]))(v) for v in row]
+        lines.append([draw(pad) + f + draw(pad) for f in fields + [str(int(flag))]])
+    return lines
+
+
+@st.composite
+def layouts(draw, lines):
+    """File text with blank lines anywhere and mixed line ends.
+
+    Returns the text and the physical line number of each data line.
+    """
+    out = [",".join(trajectory._CSV_HEADER)]
+    numbers = []
+    for line in lines:
+        out += [""] * draw(st.integers(0, 2))
+        numbers.append(len(out) + 1)
+        out.append(line)
+    out += [""] * draw(st.integers(0, 2))
+    text = ""
+    for line in out:
+        end = draw(ENDINGS)
+        if line == "" and text.endswith("\r"):
+            end = "\r"  # a CR then LF would be one CRLF, not a blank line
+        text += line + end
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # an unterminated last line
+    return text, numbers
+
+
+def block_sizes(n):
+    return st.sampled_from([1, 2, 7]) | st.integers(1, n + 2)
+
+
+def outcome(read, path):
+    """The four arrays' bits, or the exception's type and message."""
+    try:
+        with np.errstate(over="ignore"):
+            stream = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [bits(getattr(stream, name)) for name in ("t", "poses", "joints", "laser")]
+
+
+def read_both(text, block_rows):
+    """The oracle's and the block reader's outcomes on one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "stream.csv")
+        path.write_bytes(text.encode("utf-8"))
+        want = outcome(oracles.read_stream_rows, path)
+        with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", block_rows):
+            got = outcome(read_stream_csv, path)
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_the_row_reader(data):
+    lines = data.draw(data_lines())
+    text, _ = data.draw(layouts([",".join(f) for f in lines]))
+    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    assert isinstance(want, list), want
+    assert got == want
+
+
+@st.composite
+def corruptions(draw, lines, i):
+    """Damage line i in place: its fields or its flag, or add a line before it."""
+    fields = lines[i]
+    kind = draw(st.sampled_from(["fields", "number", "flag", "odd", "whitespace"]))
+    j = draw(st.integers(0, len(fields) - 1))
+    if kind == "fields":
+        if draw(st.booleans()):
+            del fields[j]
+        else:
+            fields.insert(j, draw(st.sampled_from(["0", ""])))
+    elif kind == "number":
+        fields[j] = draw(BAD_NUMBERS)
+    elif kind == "flag":
+        fields[-1] = draw(BAD_FLAGS)
+    elif kind == "odd":
+        k = draw(st.integers(0, len(fields[j])))
+        fields[j] = fields[j][:k] + draw(ODD) + fields[j][k:]
+    else:
+        lines.insert(i, [draw(st.sampled_from([" ", "\t", "\x0c", "\x0b", "\x85"]))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_block_reader_refuses_what_the_row_reader_refuses(data):
+    lines = data.draw(data_lines())
+    n = len(lines)
+    damaged = data.draw(st.lists(st.sampled_from([0, n - 1]) | st.integers(0, n - 1),
+                                 min_size=1, max_size=2, unique=True))
+    for i in sorted(damaged, reverse=True):
+        data.draw(corruptions(lines, i))
+    text, _ = data.draw(layouts([",".join(f) for f in lines]))
+    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_reader_names_the_line_of_a_non_finite_or_early_time(data):
+    lines = data.draw(data_lines())
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if i and data.draw(st.booleans()):
+        lines[i][0] = lines[i - 1][0]
+    else:
+        j = data.draw(st.integers(0, 6))
+        lines[i][j] = data.draw(st.sampled_from(["nan", "inf", "-inf", " -Infinity ", "NaN"]))
+    text, numbers = data.draw(layouts([",".join(f) for f in lines]))
+    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    assert want[0] is InvalidStream
+    assert got[0] is InvalidStream
+    assert f": line {numbers[i]}: " in got[1], got[1]
