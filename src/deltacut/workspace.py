@@ -3,7 +3,8 @@
 Reachability is always an exact per-point test; a grid only decides where
 the test runs (cell centres).  Every test here goes through
 kinematics.reachable_mask, the array mode of the one arm kernel that scalar
-inverse kinematics also uses, so grid scans, coverage fractions and
+inverse kinematics also uses, or through kinematics.plane_mask, that
+kernel's own first flag, so grid scans, coverage fractions and
 kinematics.is_reachable can never disagree on a point.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
-from .kinematics import reachable_mask
+from .kinematics import plane_mask, reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -27,9 +29,9 @@ CELL_BUDGET = 100_000_000
 # memory does not grow with the population or the point set.
 PAIR_BUDGET = 32_768
 
-# Most grid cells one scan kernel call tests, so that the kernel's float64
-# temporaries stay a fixed size whatever the grid; grid dumps are written in
-# blocks of the same size.
+# Most grid cells one scan kernel call tests, and most (y, x) columns one
+# scan tile probes, so that the kernel's float64 temporaries stay a fixed
+# size whatever the grid; grid dumps are written in blocks of the same size.
 SLAB_CELLS = 262_144
 
 # The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
@@ -66,6 +68,9 @@ class GridSpec:
             hi = getattr(self, f"{axis}_max")
             if not hi > lo:
                 raise ValueError(f"{axis}_max must exceed {axis}_min ({lo} .. {hi})")
+            if not math.isfinite((hi - lo) / self.resolution):
+                raise ValueError(f"{axis} cell count is not finite "
+                                 f"({lo} .. {hi} at {self.resolution} mm)")
         nx, ny, nz = self.dims
         if nx * ny * nz > CELL_BUDGET:
             raise CellBudgetExceeded(
@@ -121,7 +126,7 @@ class WorkspaceGrid:
 
     @property
     def occupied_count(self) -> int:
-        return int(self.occupancy.sum())
+        return int(np.count_nonzero(self.occupancy))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -146,23 +151,31 @@ class PrescribedWorkspace:
 def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     """Scan the grid; each flag is the exact reachability of the cell centre.
 
-    The kernel runs on blocks of at most SLAB_CELLS cells (see _blocks), so
-    peak memory is the occupancy plus a fixed block's temporaries.  The
-    kernel is elementwise, so the flags do not depend on the blocking.
+    The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
+    blocks _blocks gives for a single z layer.  Where kinematics.plane_mask
+    is False a column is unreachable at every z and keeps its initial False;
+    the kernel runs only on a tile's live columns, over z, in blocks of at
+    most SLAB_CELLS cells.  So peak memory is the occupancy plus a fixed
+    block's temporaries, and as the kernel is elementwise, the flags do not
+    depend on the tiling.
     """
     nx, ny, nz = spec.dims
-    # Axis centres broadcast to the [iz, iy, ix] block inside the kernel, so
-    # steps that do not depend on z run once per (y, x) column of a block.
-    x = spec.axis_centers("x")[None, None, :]
-    y = spec.axis_centers("y")[None, :, None]
-    z = spec.axis_centers("z")[:, None, None]
-    occupancy = np.empty((nz, ny, nx), dtype=bool)
-    for zs, ys, xs in _blocks(nx, ny, nz):
-        # Each block's mask lives until the next block's call returns; that
-        # stops the allocator from trimming the kernel's freed pages after
-        # every block, which made the 6 mm g0 scan about 30 % slower.
-        mask = reachable_mask(geometry, x[:, :, xs], y[:, ys], z[zs])
-        occupancy[zs, ys, xs] = mask
+    x = spec.axis_centers("x")
+    y = spec.axis_centers("y")
+    # z broadcasts against a tile's live columns inside the kernel, so steps
+    # that do not depend on z run once per column of a block.
+    z = spec.axis_centers("z")[:, None]
+    occupancy = np.zeros((nz, ny, nx), dtype=bool)
+    for _, ys, xs in _blocks(nx, ny, 1):
+        iy, ix = np.nonzero(plane_mask(geometry, x[xs], y[ys, None]))
+        if iy.size == 0:
+            continue
+        tile = occupancy[:, ys, xs]
+        xl = x[xs][ix]
+        yl = y[ys][iy]
+        kz = SLAB_CELLS // iy.size
+        for z0 in range(0, nz, kz):
+            tile[z0:z0 + kz, iy, ix] = reachable_mask(geometry, xl, yl, z[z0:z0 + kz])
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
 
 
@@ -265,12 +278,16 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
     first bad (z, y) row.  CRLF and CR line endings are read as LF.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # The flags are converted in place and the grid is a view of this
+        # buffer, so a load allocates one grid-sized buffer, not two.
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+        data += fh.read()
     with naming(f"grid file {path}"):
         return _parse_grid(data)
 
 
-def _parse_grid(data: bytes) -> WorkspaceGrid:
+def _parse_grid(data: bytearray) -> WorkspaceGrid:
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     end = data.find(b"\n")
@@ -292,9 +309,13 @@ def _parse_grid(data: bytes) -> WorkspaceGrid:
     n_rows = nz * ny
     whole = min(body.size // (nx + 1), n_rows)
     rows = body[:whole * (nx + 1)].reshape(whole, nx + 1)
+    bad = rows[:, nx] != ord("\n")
     # uint8 arithmetic wraps, so every byte but '0' and '1' maps above 1.
-    flags = rows[:, :nx] - np.uint8(ord("0"))
-    bad = (rows[:, nx] != ord("\n")) | (flags.max(axis=1) > 1)
+    rows -= np.uint8(ord("0"))
+    flags = rows[:, :nx]
+    # Row by row only when some flag byte is bad, to name the first bad row.
+    if flags.max(initial=0) > 1:
+        bad |= flags.max(axis=1) > 1
     first_bad = int(bad.argmax()) if bad.any() else whole
     if first_bad < n_rows:
         iz, iy = divmod(first_bad, ny)

@@ -88,6 +88,19 @@ def test_workspace_writes_a_loadable_dump(capsys, fixtures_dir, tmp_path):
     assert "scanning" in captured.err  # diagnostics stay off stdout
 
 
+def test_workspace_bounds_that_overflow_the_cell_count_are_a_usage_error(capsys, fixtures_dir,
+                                                                         tmp_path):
+    # -1e308 .. 1e308 spans inf mm, so the x cell count is not finite.
+    code = app(["workspace", "--geometry", str(fixtures_dir / "g0.json"),
+                "--out", str(tmp_path / "grid.txt"),
+                "--bounds", "-1" + "0" * 308, "1e308", "-1", "1", "-1", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ValueError: x cell count is not finite")
+    assert not (tmp_path / "grid.txt").exists()
+
+
 def test_optimize_is_reproducible(capsys, fixtures_dir, tmp_path):
     argv = ["optimize", "--bounds", str(fixtures_dir / "bounds.json"),
             "--prescribed", str(fixtures_dir / "prescribed_mixed10.json"),

@@ -38,7 +38,7 @@ from deltacut import (
 )
 from deltacut import design_opt, workspace
 from deltacut.design_opt import population_fitness
-from deltacut.kinematics import inverse_kinematics_many, reachable_mask
+from deltacut.kinematics import _arm_kernel, inverse_kinematics_many, reachable_mask
 
 G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
 RECOVERY = [tuple(p) for p in load_fixture("recovery_points.json")["points"]]
@@ -109,19 +109,8 @@ def grid_specs(draw):
                     lo[2], lo[2] + n[2] * res, res)
 
 
-@settings(max_examples=100, deadline=None)
-@given(geometry=any_geometry, spec=grid_specs(), data=st.data())
-def test_block_scan_equals_one_kernel_call(geometry, spec, data):
-    nx, ny, nz = spec.dims
-    plane = nx * ny
-    # Budgets below a row, a plane and the grid run the x, y and z splits,
-    # most of them with a partial last block.
-    slab = data.draw(st.one_of(st.sampled_from([1, 7, max(1, plane - 1), plane + 1]),
-                               st.integers(1, plane * nz + 1)))
-    x = spec.axis_centers("x")[None, None, :]
-    y = spec.axis_centers("y")[None, :, None]
-    z = spec.axis_centers("z")[:, None, None]
-    want = reachable_mask(geometry, x, y, z)
+def scan_with_spy(geometry, spec, slab):
+    """compute_workspace's occupancy, and the cell count of each reachable_mask call."""
     sizes = []
 
     def spy(geometry, x, y, z):
@@ -130,10 +119,53 @@ def test_block_scan_equals_one_kernel_call(geometry, spec, data):
 
     with mock.patch.object(workspace, "SLAB_CELLS", slab), \
             mock.patch.object(workspace, "reachable_mask", spy):
-        got = compute_workspace(geometry, spec).occupancy
+        return compute_workspace(geometry, spec).occupancy, sizes
+
+
+def whole_grid(spec):
+    return (spec.axis_centers("x")[None, None, :], spec.axis_centers("y")[None, :, None],
+            spec.axis_centers("z")[:, None, None])
+
+
+@settings(max_examples=100, deadline=None)
+@given(geometry=any_geometry, spec=grid_specs(), data=st.data())
+def test_block_scan_equals_one_kernel_call(geometry, spec, data):
+    nx, ny, nz = spec.dims
+    plane = nx * ny
+    # Budgets below a row, a plane and the grid cut the columns into several
+    # tiles or z into several blocks, most of them with a partial last one.
+    slab = data.draw(st.one_of(st.sampled_from([1, 7, max(1, plane - 1), plane + 1]),
+                               st.integers(1, plane * nz + 1)))
+    x, y, z = whole_grid(spec)
+    want = reachable_mask(geometry, x, y, z)
+    # The scan runs the kernel only on columns that every arm's plane
+    # reaches: those no arm flags as a plane miss in one whole-grid call.
+    miss = np.zeros((1, ny, nx), dtype=bool)
+    for arm in (1, 2, 3):
+        miss |= _arm_kernel(geometry, x, y, z, arm, np.sqrt, np.where)[0][0]
+    live_columns = np.count_nonzero(~miss)
+    got, sizes = scan_with_spy(geometry, spec, slab)
     assert np.array_equal(got, want)
-    assert max(sizes) <= slab
-    assert sum(sizes) == nx * ny * nz
+    assert max(sizes, default=0) <= slab
+    assert sum(sizes) == nz * live_columns
+
+
+def test_scan_of_a_box_outside_an_arm_strip_runs_no_kernel():
+    # |x| > r_e everywhere, so arm 1's forearm sphere never cuts its plane.
+    spec = GridSpec(G0.r_e + 50.0, G0.r_e + 150.0, -50.0, 50.0, -400.0, -200.0, 10.0)
+    got, sizes = scan_with_spy(G0, spec, 64)
+    assert sizes == []
+    assert got.shape == (20, 10, 10) and not got.any()
+
+
+def test_scan_of_a_box_inside_every_arm_strip_tests_every_cell():
+    # Within r_e of the axis, every arm's plane is in reach of its sphere.
+    spec = GridSpec(-100.0, 100.0, -100.0, 100.0, -450.0, -150.0, 10.0)
+    got, sizes = scan_with_spy(G0, spec, 1000)
+    assert np.array_equal(got, reachable_mask(G0, *whole_grid(spec)))
+    assert got.any() and not got.all()
+    assert max(sizes) <= 1000
+    assert sum(sizes) == got.size
 
 
 @st.composite

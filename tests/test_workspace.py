@@ -61,6 +61,19 @@ def test_grid_spec_rejects_degenerate_boxes(kwargs):
         GridSpec(**kwargs)
 
 
+@pytest.mark.parametrize("axis, kwargs", [
+    ("x", dict(x_min=-1e308, x_max=1e308)),
+    ("y", dict(y_min=-1e308, y_max=1e308)),
+    # A subnormal cell size overflows the first axis's count.
+    ("x", dict(resolution=5e-324)),
+])
+def test_grid_spec_refuses_a_cell_count_that_overflows(axis, kwargs):
+    bounds = dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, z_min=-1.0, z_max=0.0,
+                  resolution=1.0)
+    with pytest.raises(ValueError, match=f"^{axis} cell count is not finite"):
+        GridSpec(**{**bounds, **kwargs})
+
+
 def test_cell_budget_guard():
     with pytest.raises(CellBudgetExceeded):
         GridSpec(-1000.0, 1000.0, -1000.0, 1000.0, -1000.0, 0.0, 0.1)
@@ -228,7 +241,9 @@ _HEAD = {"format": "deltacut-grid", "version": 1, "dims": [2, 1, 1]}
     {**_HEAD, "bounds": [1, 2]},
     {**_HEAD, "bounds": {"x_min": 0.0}},
     {**_HEAD, "bounds": {**_BOUNDS, "resolution": 0.0}},
-], ids=["no-bounds", "list-header", "list-bounds", "missing-bound", "zero-resolution"])
+    {**_HEAD, "bounds": {**_BOUNDS, "x_min": -1e308, "x_max": 1e308}},
+], ids=["no-bounds", "list-header", "list-bounds", "missing-bound", "zero-resolution",
+        "overflowing-span"])
 def test_load_grid_rejects_malformed_headers(tmp_path, header):
     path = tmp_path / "grid.txt"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n01\n")
@@ -241,6 +256,21 @@ def test_load_grid_rejects_a_too_deeply_nested_header(tmp_path):
     path.write_bytes(b"[" * 100_000 + b"\n01\n")
     with pytest.raises(ValueError, match=re.escape(f"grid file {path}: bad header")):
         load_grid(path)
+
+
+def test_grid_load_holds_one_copy_of_the_file(tmp_path, g0):
+    grid = compute_workspace(g0, default_grid_spec(g0, 8.0))
+    path = tmp_path / "grid.txt"
+    dump_grid(grid, path)
+    tracemalloc.start()
+    try:
+        again = load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again.occupancy, grid.occupancy)
+    # The flags are converted inside the file buffer, not copied out of it.
+    assert peak < path.stat().st_size + 500_000
 
 
 @st.composite
@@ -282,12 +312,15 @@ def test_load_grid_inverts_dump_grid(grid, slab):
     assert np.array_equal(again.occupancy, grid.occupancy)
 
 
-@pytest.mark.parametrize("spec_of, slab", [
-    (lambda g: default_grid_spec(g, 8.0), workspace.SLAB_CELLS),
+@pytest.mark.parametrize("spec_of, slab, margin", [
+    (lambda g: default_grid_spec(g, 8.0), workspace.SLAB_CELLS, 48_000_000),
     # One row of a million cells: the budget splits it along x.
-    (lambda g: GridSpec(-5e5, 5e5, -0.5, 0.5, -300.5, -299.5, 1.0), 4096),
-], ids=["g0-8mm", "one-long-row"])
-def test_scan_memory_is_bounded(g0, spec_of, slab):
+    (lambda g: GridSpec(-5e5, 5e5, -0.5, 0.5, -300.5, -299.5, 1.0), 4096, 48_000_000),
+    # One layer of a million columns: the column probe runs in tiles too, so
+    # no plane-sized float64 or index array (8 MB each) is ever held.
+    (lambda g: GridSpec(-500.0, 500.0, -500.0, 500.0, -300.5, -299.5, 1.0), 4096, 4_000_000),
+], ids=["g0-8mm", "one-long-row", "one-wide-layer"])
+def test_scan_memory_is_bounded(g0, spec_of, slab, margin):
     spec = spec_of(g0)
     with mock.patch.object(workspace, "SLAB_CELLS", slab):
         tracemalloc.start()
@@ -297,4 +330,4 @@ def test_scan_memory_is_bounded(g0, spec_of, slab):
         finally:
             tracemalloc.stop()
     assert grid.occupancy.size >= 1_000_000
-    assert peak < grid.occupancy.nbytes + 48_000_000
+    assert peak < grid.occupancy.nbytes + margin
