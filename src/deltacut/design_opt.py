@@ -10,6 +10,12 @@ a documented stream layout, so runs are reproducible byte for byte:
         child g      all draws of generation g, consumed in slot order
                      (parent tournaments, crossover, mutation per offspring)
 
+Both tournaments of a slot come from one integers call: numpy draws bounded
+integers one at a time from the bit generator, whose 32-bit buffer outlives
+the call, so this consumes the stream as one call per tournament did.  Only
+the draws run slot by slot; winners, crossover and mutation are computed
+once per generation, with the same IEEE operations per gene.
+
 Fitness evaluation consumes no randomness, so evaluation order cannot
 perturb results; each generation is scored by one population_fitness call.
 The uniform random-search baseline draws all its genomes at once from
@@ -25,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import as_count, as_list, as_number, fields, json_text, read_json
-from .geometry import RobotGeometry
+from .geometry import RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
-from .workspace import PAIR_BUDGET, PrescribedWorkspace, coverage, coverage_many  # noqa: F401
+from .workspace import PAIR_BUDGET, PrescribedWorkspace, coverage, coverage_links  # noqa: F401
 
 INFEASIBLE_FITNESS = -1.0
 _BLEND_ALPHA = 0.1
@@ -141,21 +147,19 @@ def population_fitness(
     bounds: DesignBounds,
 ) -> np.ndarray:
     """coverage - weight * (f + e + r_f + r_e) / (sum of upper bounds) per
-    (f, e, r_f, r_e) row; -1.0 where the geometry cannot be assembled."""
+    (f, e, r_f, r_e) row; -1.0 where RobotGeometry would refuse the row."""
     genomes = np.asarray(genomes, dtype=np.float64)
+    # NaN, infinite and overflowing genes fail the mask without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, _, assembles = _assembly(*genomes.T)
+        feasible = (assembles & (genomes > 0.0).all(axis=1)
+                    & np.isfinite(genomes * genomes).all(axis=1))
     fits = np.full(len(genomes), INFEASIBLE_FITNESS)
-    feasible = []
-    geometries = []
-    for i, (f, e, r_f, r_e) in enumerate(genomes.tolist()):
-        try:
-            geometries.append(RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e))
-        except ValueError:
-            continue
-        feasible.append(i)
-    if feasible:
+    if feasible.any():
         f, e, r_f, r_e = genomes[feasible].T
+        links = np.stack((a[feasible], b[feasible], r_f, r_e), axis=1)
         penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
-        fits[feasible] = coverage_many(geometries, prescribed) - penalty
+        fits[feasible] = coverage_links(links, prescribed) - penalty
     return fits
 
 
@@ -180,9 +184,29 @@ def fitness(
     return candidate_fitness(genome, prescribed, size_penalty_weight, bounds)
 
 
-def _rank(fits: np.ndarray) -> list[int]:
+def _rank(fits: np.ndarray) -> np.ndarray:
     # Descending fitness; index breaks ties so ordering is total.
-    return sorted(range(len(fits)), key=lambda i: (-fits[i], i))
+    return np.argsort(-fits, kind="stable")
+
+
+def _draw_slots(rng: np.random.Generator, slots: int, cfg: GaConfig):
+    """One generation's draws, slot by slot: tournament entrants (slots, 2,
+    tournament_size), crossover flags, blend weights (zero where a slot does
+    not cross) and mutation noise."""
+    integers, random, normal = rng.integers, rng.random, rng.standard_normal
+    pop_size = cfg.population_size
+    draw = 2 * cfg.tournament_size
+    rate = cfg.crossover_rate
+    no_blend = np.zeros(4)
+    entrants, cross, blend, noise = [], [], [], []
+    for _ in range(slots):
+        entrants.append(integers(0, pop_size, size=draw))
+        coin = random() < rate
+        cross.append(coin)
+        blend.append(random(4) if coin else no_blend)
+        noise.append(normal(4))
+    return (np.reshape(entrants, (slots, 2, cfg.tournament_size)), np.array(cross),
+            np.array(blend), np.array(noise))
 
 
 def run_ga(
@@ -197,6 +221,7 @@ def run_ga(
     span = hi - lo
     sigma = cfg.mutation_sigma_fraction * span
     pop_size = cfg.population_size
+    elite = cfg.elitism_count
 
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.generations + 1)
 
@@ -212,29 +237,21 @@ def run_ga(
 
     for gen in range(1, cfg.generations + 1):
         rng = np.random.default_rng(streams[gen])
+        entrants, cross, blend, noise = _draw_slots(rng, pop_size - elite, cfg)
         order = _rank(fits)
-        next_pop = np.empty_like(population)
-        for k in range(cfg.elitism_count):
-            next_pop[k] = population[order[k]]
+        # A tournament's winner is its entrant with the best place in order.
+        place = np.argsort(order)
+        winners = order[place[entrants].min(axis=2)]
+        p1 = population[winners[:, 0]]
+        p2 = population[winners[:, 1]]
 
-        for slot in range(cfg.elitism_count, pop_size):
-            entrants = rng.integers(0, pop_size, size=cfg.tournament_size)
-            p1 = population[min(entrants, key=lambda i: (-fits[i], i))]
-            entrants = rng.integers(0, pop_size, size=cfg.tournament_size)
-            p2 = population[min(entrants, key=lambda i: (-fits[i], i))]
+        low = np.minimum(p1, p2)
+        high = np.maximum(p1, p2)
+        pad = _BLEND_ALPHA * (high - low)
+        child = np.where(cross[:, None], low - pad + blend * ((high + pad) - (low - pad)), p1)
 
-            if rng.random() < cfg.crossover_rate:
-                low = np.minimum(p1, p2)
-                high = np.maximum(p1, p2)
-                pad = _BLEND_ALPHA * (high - low)
-                child = low - pad + rng.random(4) * ((high + pad) - (low - pad))
-            else:
-                child = p1.copy()
-
-            child = child + rng.standard_normal(4) * sigma
-            next_pop[slot] = np.clip(child, lo, hi)
-
-        population = next_pop
+        population = np.concatenate(
+            (population[order[:elite]], np.clip(child + noise * sigma, lo, hi)))
         fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
         evaluations += pop_size
         history.append((float(fits.max()), float(fits.mean())))
@@ -265,8 +282,7 @@ def random_search(
     seed: int,
 ) -> tuple[np.ndarray | None, float]:
     """Equal-budget uniform baseline; returns (best genome, best fitness)."""
-    if evaluations < 1:
-        raise ValueError("evaluations must be >= 1")
+    as_count("evaluations", evaluations, 1)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _BASELINE_STREAM]))
     # One draw of all rows gives the same stream as one draw per genome.
     genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(evaluations, 4))

@@ -21,6 +21,20 @@ THETA_MIN = -math.pi / 2.0
 THETA_MAX = math.pi
 
 
+def _offset(side):
+    """Centroid to side midpoint of an equilateral triangle with this side."""
+    return side / (2.0 * _SQRT3)
+
+
+def _assembly(f, e, r_f, r_e):
+    """(a, b, reach, assembles) of the home-pose assembly rule r_e > reach,
+    reach = |a + r_f - b|, on floats (RobotGeometry) or arrays (GA fitness)."""
+    a = _offset(f)
+    b = _offset(e)
+    reach = abs(a + r_f - b)
+    return a, b, reach, r_e > reach
+
+
 @dataclass(frozen=True, slots=True)
 class RobotGeometry:
     """Link sizing of a translational delta robot.
@@ -46,8 +60,8 @@ class RobotGeometry:
             if not math.isfinite(value * value):
                 raise ValueError(f"{name}={value!r} is too long: its square overflows")
             object.__setattr__(self, name, value)
-        reach = abs(self.a + self.r_f - self.b)
-        if not self.r_e > reach:
+        _, _, reach, assembles = _assembly(self.f, self.e, self.r_f, self.r_e)
+        if not assembles:
             raise ValueError(
                 "home-pose assembly requires r_e > |a + r_f - b| "
                 f"(r_e={self.r_e}, |a + r_f - b|={reach})"
@@ -56,16 +70,16 @@ class RobotGeometry:
     @property
     def a(self) -> float:
         """Base offset: centroid to side midpoint of the fixed triangle."""
-        return self.f / (2.0 * _SQRT3)
+        return _offset(self.f)
 
     @property
     def b(self) -> float:
         """Effector offset: centroid to side midpoint of the moving triangle."""
-        return self.e / (2.0 * _SQRT3)
+        return _offset(self.e)
 
     def home_z(self) -> float:
         """Effector height with all arms horizontal (theta = 0)."""
-        reach = self.a + self.r_f - self.b
+        reach = _assembly(self.f, self.e, self.r_f, self.r_e)[2]
         return -math.sqrt(self.r_e * self.r_e - reach * reach)
 
     def to_dict(self) -> dict:

@@ -162,7 +162,10 @@ def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
 
 def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
     """Array mode of _arm_kernel: (unreachable, sin_c, cos_c) per pose."""
-    flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.where)
+    # Overflow and the NaN it leads to count as misses, silently, as in
+    # scalar mode; they arise with links of about 1e154 mm and up.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.where)
     plane_miss, coincident, knee_miss, folded = flags
     return plane_miss | coincident | knee_miss | folded, sin_c, cos_c
 

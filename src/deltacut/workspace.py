@@ -194,19 +194,21 @@ def _blocks(nx: int, ny: int, nz: int):
 
 def coverage(geometry: RobotGeometry, prescribed: PrescribedWorkspace) -> float:
     """Fraction of prescribed points reachable, each tested exactly."""
-    return float(coverage_many([geometry], prescribed)[0])
+    links = [(geometry.a, geometry.b, geometry.r_f, geometry.r_e)]
+    return float(coverage_links(links, prescribed)[0])
 
 
-def coverage_many(geometries, prescribed: PrescribedWorkspace) -> np.ndarray:
-    """coverage() of each geometry, from kernel calls of at most PAIR_BUDGET pairs."""
+def coverage_links(links, prescribed: PrescribedWorkspace) -> np.ndarray:
+    """coverage() of each row (a, b, r_f, r_e) of links, the link fields of
+    assemblable geometries, from kernel calls of at most PAIR_BUDGET pairs."""
+    links = np.asarray(links, dtype=np.float64)
     pts = prescribed.points
     n = len(pts)
     rows = max(1, PAIR_BUDGET // n)
     cols = min(n, PAIR_BUDGET)
-    counts = np.zeros(len(geometries), dtype=np.int64)
-    for i in range(0, len(geometries), rows):
-        links = np.array([(g.a, g.b, g.r_f, g.r_e) for g in geometries[i:i + rows]])
-        columns = _LinkColumns(*links.T[:, :, None])
+    counts = np.zeros(len(links), dtype=np.int64)
+    for i in range(0, len(links), rows):
+        columns = _LinkColumns(*links[i:i + rows].T[:, :, None])
         for j in range(0, n, cols):
             part = pts[j:j + cols]
             mask = reachable_mask(columns, part[:, 0], part[:, 1], part[:, 2])

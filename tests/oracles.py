@@ -19,6 +19,13 @@ bytes from whole arrays.
 read_stream_rows is the stream reader as it first ran: csv.reader, one row
 and one float() per field at a time.  The package parses blocks of lines at
 once and also names the line of a non-finite or out-of-order value.
+
+run_ga_slots is the GA as it first bred: one offspring slot at a time, two
+tournaments of min() over a (-fitness, index) key, then crossover and
+mutation on that slot's 4-element genome.  The package draws the same
+numbers in the same order and breeds a whole generation with array code.
+fitness_per_genome scores a population one RobotGeometry at a time, with
+coverage(); the package masks unassemblable genomes out with array code.
 """
 
 from __future__ import annotations
@@ -37,8 +44,16 @@ from deltacut.control_sim import (
     TraceEvent,
     WatchdogConfig,
 )
+from deltacut.design_opt import (
+    _BLEND_ALPHA,
+    INFEASIBLE_FITNESS,
+    DesignBounds,
+    GaConfig,
+    GaResult,
+    population_fitness,
+)
 from deltacut.errors import InvalidStream, UnknownProcess, Unreachable, UnreachableSample
-from deltacut.geometry import Pose
+from deltacut.geometry import Pose, RobotGeometry
 from deltacut.kinematics import inverse_kinematics, inverse_kinematics_many
 from deltacut.trajectory import (
     _CSV_HEADER,
@@ -48,6 +63,7 @@ from deltacut.trajectory import (
     _LinePath,
     build_motions,
 )
+from deltacut.workspace import PrescribedWorkspace, coverage
 
 TOL = 1e-12
 
@@ -540,4 +556,96 @@ def read_stream_rows(path) -> SetpointStream:
     return SetpointStream(
         t=np.array(times), poses=np.array(poses),
         joints=np.array(joints), laser=np.array(laser, dtype=bool),
+    )
+
+
+def fitness_per_genome(genomes, prescribed, size_penalty_weight, bounds) -> list[float]:
+    """population_fitness one genome at a time: -1.0 where RobotGeometry
+    refuses the genome, else coverage minus the size penalty."""
+    fits = []
+    for f, e, r_f, r_e in np.asarray(genomes, dtype=np.float64).tolist():
+        try:
+            geometry = RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e)
+        except ValueError:
+            fits.append(INFEASIBLE_FITNESS)
+            continue
+        penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
+        fits.append(coverage(geometry, prescribed) - penalty)
+    return fits
+
+
+def _rank(fits: np.ndarray) -> list[int]:
+    # Descending fitness; index breaks ties so ordering is total.
+    return sorted(range(len(fits)), key=lambda i: (-fits[i], i))
+
+
+def run_ga_slots(
+    bounds: DesignBounds,
+    prescribed: PrescribedWorkspace,
+    config: GaConfig | None = None,
+) -> GaResult:
+    """Evolve geometries against the prescribed workspace; deterministic."""
+    cfg = config if config is not None else GaConfig()
+    lo = bounds.lower()
+    hi = bounds.upper()
+    span = hi - lo
+    sigma = cfg.mutation_sigma_fraction * span
+    pop_size = cfg.population_size
+
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.generations + 1)
+
+    init_rng = np.random.default_rng(streams[0])
+    population = init_rng.uniform(lo, hi, size=(pop_size, 4))
+
+    fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
+    history = [(float(fits.max()), float(fits.mean()))]
+    evaluations = pop_size
+    best_idx = _rank(fits)[0]
+    best_genome = population[best_idx].copy()
+    best_fit = float(fits[best_idx])
+
+    for gen in range(1, cfg.generations + 1):
+        rng = np.random.default_rng(streams[gen])
+        order = _rank(fits)
+        next_pop = np.empty_like(population)
+        for k in range(cfg.elitism_count):
+            next_pop[k] = population[order[k]]
+
+        for slot in range(cfg.elitism_count, pop_size):
+            entrants = rng.integers(0, pop_size, size=cfg.tournament_size)
+            p1 = population[min(entrants, key=lambda i: (-fits[i], i))]
+            entrants = rng.integers(0, pop_size, size=cfg.tournament_size)
+            p2 = population[min(entrants, key=lambda i: (-fits[i], i))]
+
+            if rng.random() < cfg.crossover_rate:
+                low = np.minimum(p1, p2)
+                high = np.maximum(p1, p2)
+                pad = _BLEND_ALPHA * (high - low)
+                child = low - pad + rng.random(4) * ((high + pad) - (low - pad))
+            else:
+                child = p1.copy()
+
+            child = child + rng.standard_normal(4) * sigma
+            next_pop[slot] = np.clip(child, lo, hi)
+
+        population = next_pop
+        fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
+        evaluations += pop_size
+        history.append((float(fits.max()), float(fits.mean())))
+        gen_best = _rank(fits)[0]
+        if float(fits[gen_best]) > best_fit:
+            best_fit = float(fits[gen_best])
+            best_genome = population[gen_best].copy()
+
+    try:
+        best_geometry = RobotGeometry(*(float(v) for v in best_genome))
+    except ValueError:
+        best_geometry = None
+    return GaResult(
+        best=best_geometry,
+        best_fitness=best_fit,
+        history=tuple(history),
+        evaluations=evaluations,
+        config=cfg,
+        bounds=bounds,
     )

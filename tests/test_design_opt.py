@@ -1,15 +1,20 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
 from deltacut import (
     DesignBounds,
     GaConfig,
     PrescribedWorkspace,
+    RobotGeometry,
     candidate_fitness,
     coverage,
     fitness,
@@ -18,7 +23,9 @@ from deltacut import (
     random_search,
     run_ga,
 )
+from deltacut import workspace
 from deltacut.design_opt import population_fitness
+from oracles import fitness_per_genome, run_ga_slots
 
 INFEASIBLE = -1.0
 
@@ -224,3 +231,86 @@ def test_population_fitness_memory_is_bounded():
         tracemalloc.stop()
     assert fits.shape == (2000,)
     assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3"])
+def test_random_search_budget_must_be_a_count(budget):
+    with pytest.raises(ValueError, match="evaluations must be an integer"):
+        random_search(small_bounds(), small_points(), budget, 0.05, seed=9)
+
+
+def test_population_fitness_builds_no_geometry(g0):
+    genomes = [[g0.f, g0.e, g0.r_f, g0.r_e], [400.0, 60.0, 200.0, 100.0]]
+    with mock.patch.object(RobotGeometry, "__post_init__",
+                           side_effect=AssertionError("RobotGeometry built")):
+        fits = population_fitness(genomes, small_points(), 0.05, small_bounds())
+    assert fits[1] == INFEASIBLE
+    assert fits[0] > 0.0
+
+
+def test_odd_genomes_score_without_numpy_warnings():
+    # Infinite, NaN and overflowing genes are masked out; links near 1e154
+    # pass the mask, and their overflowing kernel terms count as misses.
+    genomes = [[math.inf, 1.0, 1.0, 1.0], [math.nan, 1.0, 1.0, 1.0],
+               [1e200, 1.0, 1.0, 1.0], [1.0, 1.0, 1e154, 1.0000000000000002e154]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = population_fitness(genomes, small_points(), 0.0, small_bounds())
+    assert fits.tolist() == [INFEASIBLE, INFEASIBLE, INFEASIBLE, 0.0]
+
+
+@st.composite
+def ga_configs(draw):
+    pop = draw(st.integers(2, 30))
+    return GaConfig(
+        population_size=pop,
+        generations=draw(st.integers(0, 6)),
+        tournament_size=draw(st.integers(1, pop)),
+        elitism_count=draw(st.integers(0, pop - 1)),
+        crossover_rate=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        mutation_sigma_fraction=draw(st.one_of(st.just(0.05), st.floats(1e-6, 1.0))),
+        # Weight 0 leaves only coverage, so equal fitness values, and the
+        # index tie-break in tournaments and ranking, are common.
+        size_penalty_weight=draw(st.sampled_from([0.0, 0.05])),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=ga_configs())
+def test_run_ga_matches_the_slot_by_slot_oracle(config):
+    bounds = small_bounds()
+    points = small_points()
+    assert run_ga(bounds, points, config).to_json() == run_ga_slots(bounds, points, config).to_json()
+
+
+_ODD_GENES = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e154, 1.4e154, 1e200]
+genes = st.one_of(st.floats(1.0, 1000.0), st.sampled_from(_ODD_GENES))
+
+
+@st.composite
+def edge_genomes(draw):
+    """Genomes on, just inside and just outside the assembly boundary
+    r_e == |a + r_f - b|, and genomes with odd genes."""
+    f, e, r_f = draw(genes), draw(genes), draw(genes)
+    reach = abs(f / (2.0 * math.sqrt(3.0)) + r_f - e / (2.0 * math.sqrt(3.0)))
+    r_e = draw(st.one_of(
+        st.sampled_from([reach, math.nextafter(reach, math.inf), math.nextafter(reach, -math.inf)]),
+        genes))
+    return (f, e, r_f, r_e)
+
+
+in_bounds = st.tuples(*(st.floats(lo, hi) for lo, hi in
+                        zip(small_bounds().lower(), small_bounds().upper())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(population=st.lists(st.one_of(edge_genomes(), in_bounds), min_size=1, max_size=12),
+       weight=st.sampled_from([0.0, 0.05]),
+       budget=st.one_of(st.just(workspace.PAIR_BUDGET), st.integers(1, 100)))
+def test_population_fitness_equals_the_per_genome_path(population, weight, budget):
+    points = small_points()
+    with mock.patch.object(workspace, "PAIR_BUDGET", budget):
+        got = population_fitness(population, points, weight, small_bounds())
+        want = fitness_per_genome(population, points, weight, small_bounds())
+    assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
