@@ -78,6 +78,13 @@ class DesignBounds:
                 "rf": list(self.r_f), "re": list(self.r_e)}
 
 
+def _as_seed(seed) -> int:
+    """seed as an unsigned 64-bit int, the seeds SeedSequence takes."""
+    if not as_count("seed", seed, 0) < 2 ** 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True, slots=True)
 class GaConfig:
     """GA hyperparameters; the defaults are the documented operating point."""
@@ -105,8 +112,7 @@ class GaConfig:
             raise ValueError("mutation_sigma_fraction must be in (0, 1]")
         if not as_number("size_penalty_weight", self.size_penalty_weight) >= 0.0:
             raise ValueError("size_penalty_weight must be >= 0")
-        if not as_count("seed", self.seed, 0) < 2 ** 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _as_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -283,7 +289,7 @@ def random_search(
 ) -> tuple[np.ndarray | None, float]:
     """Equal-budget uniform baseline; returns (best genome, best fitness)."""
     as_count("evaluations", evaluations, 1)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _BASELINE_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence([_as_seed(seed), _BASELINE_STREAM]))
     # One draw of all rows gives the same stream as one draw per genome.
     genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(evaluations, 4))
     batch = max(1, PAIR_BUDGET // len(prescribed))

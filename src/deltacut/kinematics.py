@@ -8,15 +8,16 @@ plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics intersects the
 three forearm spheres after shifting their centres to the platform centroid.
 
-_arm_kernel is the only place that solves an arm; plane_mask reuses its
-first stage, _plane_cut, which reads only x and y.  The kernel runs on
-Python floats (with math.sqrt and a conditional select) or on numpy arrays
-(with np.sqrt and np.where), where the link values may be arrays too.  Its
-decision path uses only +, -, *, /, sqrt, comparisons and selects, all
-correctly rounded in both modes, so scalar IK, workspace scans, batch
-planning and batch GA fitness reach bit-identical verdicts and knees.  Joint
-angles always come from math.atan2, also for arrays: np.arctan2 can differ
-by one ulp and would move the frozen streams.
+_arm_kernel is the only place that solves an arm.  Workspace scans call its
+first stage, _plane_cut, which reads only x and y, once per grid column to
+bound the column's reach in closed form.  The kernel runs on Python floats
+(with math.sqrt and a conditional select) or on numpy arrays (with np.sqrt
+and np.where), where the link values may be arrays too.  Its decision path
+uses only +, -, *, /, sqrt, comparisons and selects, all correctly rounded
+in both modes, so scalar IK, workspace scans, batch planning and batch GA
+fitness reach bit-identical verdicts and knees.  Joint angles always come
+from math.atan2, also for arrays: np.arctan2 can differ by one ulp and would
+move the frozen streams.
 """
 
 from __future__ import annotations
@@ -170,16 +171,6 @@ def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
     return plane_miss | coincident | knee_miss | folded, sin_c, cos_c
 
 
-def plane_mask(geometry: RobotGeometry, x, y) -> np.ndarray:
-    """False where some arm's forearm sphere misses that arm's plane.
-
-    That is the kernel's first flag, from its first stage, which reads only
-    x and y; so where plane_mask is False, reachable_mask is False at every z.
-    """
-    miss = [_plane_cut(geometry, x, y, arm)[0] for arm in (1, 2, 3)]
-    return np.logical_not(miss[0] | miss[1] | miss[2])
-
-
 def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
     """Exact reachability of the poses (x, y, z); the arrays broadcast, and
     so do the geometry's link fields when they are arrays (see _arm_kernel)."""
@@ -188,8 +179,8 @@ def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
     for arm in (1, 2, 3):
         # Keeping one arm's arrays until the next arm's call returns lets the
         # allocator reuse their pages; dropping them at once makes it return
-        # the pages to the OS, which more than doubles a scan's page faults
-        # (38 k against 96 k minor faults, 6 mm g0 scan).
+        # the pages to the OS, which adds half again to a scan's page faults
+        # (6.5 k against 9.7 k minor faults, first 6 mm g0 scan in a process).
         result = _arm_many(geometry, x, y, z, arm)
         bad |= result[0]
     return ~bad

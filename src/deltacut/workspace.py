@@ -1,15 +1,20 @@
 """Reachable-workspace scans: dense boolean grids and point-set coverage.
 
 Reachability is always an exact per-point test; a grid only decides where
-the test runs (cell centres).  Every test here goes through
-kinematics.reachable_mask, the array mode of the one arm kernel that scalar
-inverse kinematics also uses, or through kinematics.plane_mask, that
-kernel's own first flag, so grid scans, coverage fractions and
-kinematics.is_reachable can never disagree on a point.
+the test runs (cell centres).  Coverage goes through kinematics.reachable_mask,
+the array mode of the one arm kernel that scalar inverse kinematics also
+uses.  A grid scan decides the interior of each column's reachable runs, and
+the cells far outside them, from closed-form z-bounds on the kernel's own
+first stage, kinematics._plane_cut; the kernel decides the bands about the
+run ends.  The bounds leave every cell within rounding of a verdict change to
+the kernel, so a scan equals a kernel call on every cell bit for bit, and
+grid scans, coverage fractions and kinematics.is_reachable never disagree on
+a point.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
-from .kinematics import plane_mask, reachable_mask
+from .kinematics import _plane_cut, reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -30,9 +35,18 @@ CELL_BUDGET = 100_000_000
 PAIR_BUDGET = 32_768
 
 # Most grid cells one scan kernel call tests, and most (y, x) columns one
-# scan tile probes, so that the kernel's float64 temporaries stay a fixed
+# scan tile bounds, so that the kernel's float64 temporaries stay a fixed
 # size whatever the grid; grid dumps are written in blocks of the same size.
 SLAB_CELLS = 262_144
+
+# Relative rounding the closed-form z-bounds allow for, on the squared scale
+# of a column's coordinates: thousands of ulps of every step of the bounds
+# and of the kernel, which compares knee and pivot terms of that scale.
+_BOUND_ROUNDING = 1e-12
+
+# |z| at or below which a cell runs the kernel: at z = 0 the kernel picks its
+# knee by neither side's closed form, and next to it z / d may underflow.
+_Z_EPS = 1e-100
 
 # The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
 _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
@@ -152,31 +166,145 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     """Scan the grid; each flag is the exact reachability of the cell centre.
 
     The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
-    blocks _blocks gives for a single z layer.  Where kinematics.plane_mask
-    is False a column is unreachable at every z and keeps its initial False;
-    the kernel runs only on a tile's live columns, over z, in blocks of at
-    most SLAB_CELLS cells.  So peak memory is the occupancy plus a fixed
-    block's temporaries, and as the kernel is elementwise, the flags do not
-    depend on the tiling.
+    blocks _blocks gives for a single z layer.  Along each column every arm
+    reaches one z-interval below the base plane and one above it, in closed
+    form (_arm_bounds), so the column's reachable cells are at most two runs.
+    A cell further than a margin inside every arm's interval is True, and
+    one further than the margin outside some arm's interval is False.  The
+    margin is at least one cell and covers the rounding of the bounds and
+    of the kernel, so those verdicts are the kernel's own.  The kernel
+    decides the cells left, the bands about the run ends and any cell at
+    z = 0, in blocks of at most SLAB_CELLS cells; a column whose margin is
+    not finite, near a tangent plane cut, runs through it whole.  The flags
+    therefore equal a kernel call on every cell bit for bit, and peak memory
+    is the occupancy plus a fixed tile's temporaries.
     """
     nx, ny, nz = spec.dims
     x = spec.axis_centers("x")
     y = spec.axis_centers("y")
-    # z broadcasts against a tile's live columns inside the kernel, so steps
-    # that do not depend on z run once per column of a block.
-    z = spec.axis_centers("z")[:, None]
+    z = spec.axis_centers("z")
     occupancy = np.zeros((nz, ny, nx), dtype=bool)
+    # Runs are written as +1 at their first cell and -1 after their last,
+    # then summed along z in place.
+    diff = occupancy.view(np.int8)
+    # Cells at z = 0 lie between the two closed forms; the kernel decides them.
+    below = int(np.searchsorted(z, -_Z_EPS, "left"))
+    above = int(np.searchsorted(z, _Z_EPS, "right"))
+    # Link lengths, offsets and the largest |coordinate| the kernel meets
+    # bound the terms it rounds.
+    extent = (geometry.r_f + geometry.r_e + abs(geometry.a) + abs(geometry.b)
+              + sum(max(abs(c[0]), abs(c[-1])) for c in (x, y, z)))
     for _, ys, xs in _blocks(nx, ny, 1):
-        iy, ix = np.nonzero(plane_mask(geometry, x[xs], y[ys, None]))
+        xt, yt = np.broadcast_arrays(x[xs], y[ys, None])
+        cuts = [_plane_cut(geometry, xt, yt, arm) for arm in (1, 2, 3)]
+        iy, ix = np.nonzero(~(cuts[0][0] | cuts[1][0] | cuts[2][0]))
         if iy.size == 0:
             continue
-        tile = occupancy[:, ys, xs]
-        xl = x[xs][ix]
-        yl = y[ys][iy]
-        kz = SLAB_CELLS // iy.size
-        for z0 in range(0, nz, kz):
-            tile[z0:z0 + kz, iy, ix] = reachable_mask(geometry, xl, yl, z[z0:z0 + kz])
+        xl = xt[iy, ix]
+        yl = yt[iy, ix]
+        per_arm = zip(*[_arm_bounds(geometry, rc2[iy, ix], yp[iy, ix], tol, extent * extent)
+                        for _, rc2, yp, tol in cuts])
+        del cuts
+        # Every arm must reach a cell: the intervals intersect.
+        lo_neg, hi_neg, lo_pos, hi_pos, err = (
+            functools.reduce(op, arms) for op, arms in zip(
+                (np.maximum, np.minimum, np.maximum, np.minimum, np.maximum), per_arm))
+        margin = np.maximum(err, spec.resolution)
+        whole = ~np.isfinite(lo_neg + hi_neg + lo_pos + hi_pos + margin)
+        # Below: -z in [lo_neg, hi_neg]; above: z in [lo_pos, hi_pos].
+        runs = (_run_indices(z, -hi_neg, -lo_neg, margin, whole, 0, below)
+                + _run_indices(z, lo_pos, hi_pos, margin, whole, above, nz))
+        tile = diff[:, ys, xs]
+        for u0, c0, c1, u1 in (runs[:4], runs[4:]):
+            has = c0 < c1
+            tile[c0[has], iy[has], ix[has]] += 1
+            has &= c1 < nz
+            tile[c1[has], iy[has], ix[has]] -= 1
+        for k in range(1, nz):
+            np.add(tile[k], tile[k - 1], out=tile[k])
+        # Cells the closed forms leave undecided: [u0, c0) and [c1, u1) on
+        # each side, and the cells at z = 0.
+        u0n, c0n, c1n, u1n, u0p, c0p, c1p, u1p = runs
+        mid = np.full_like(u0n, below)
+        starts = np.concatenate((u0n, c1n, mid, u0p, c1p))
+        stops = np.concatenate((c0n, u1n, mid + (above - below), c0p, u1p))
+        column = np.tile(np.arange(iy.size), 5)
+        keep = stops > starts
+        for cell, iz in _range_cells(column[keep], starts[keep], stops[keep] - starts[keep]):
+            tile[iz, iy[cell], ix[cell]] = reachable_mask(geometry, xl[cell], yl[cell], z[iz])
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
+
+
+def _signed_sqrt(v):
+    return np.copysign(np.sqrt(np.abs(v)), v)
+
+
+def _arm_bounds(geometry, rc2, yp, tol, scale2):
+    """One arm's reach along columns whose plane cut is rc2, yp (_plane_cut);
+    scale2 is the square of the scan's length scale.
+
+    The kernel reads z only through d^2 = dy^2 + z^2 and the sign of z.
+    Below the base plane the arm reaches -z in [lo_neg, hi_neg], above it z
+    in [lo_pos, hi_pos]; a bound below zero means the interval reaches
+    z = 0, and lo > hi means it is empty.  err bounds the bounds' distance,
+    in z, from where the kernel's verdict changes.
+
+    - knee_miss: the knee circle of radius r_f about the pivot meets the
+      forearm circle, with the kernel's tolerance, where
+      (R - rc)^2 <= d^2 <= (R + rc)^2, R^2 = r_f^2 + tol, rc^2 = rc2 + tol.
+    - folded: the elbow-out knee lies at pivot angle phi - alpha below the
+      base plane and phi + alpha above it, phi the angle of (dy, z) and
+      cos(alpha) = t / r_f.  It enters the folded quadrant only through the
+      knee straight above the pivot, where dy^2 + (z - r_f)^2 = rc2: below
+      the plane, for dy < 0, inside that circle; above it, for dy > 0,
+      outside it.
+    """
+    r_f = geometry.r_f
+    rc2 = np.maximum(rc2, 0.0)
+    dy = (yp - geometry.b) + geometry.a
+    dy2 = dy * dy
+    big = math.sqrt(r_f * r_f + tol)
+    small = np.sqrt(rc2 + tol)
+    hi = _signed_sqrt((big + small) ** 2 - dy2)
+    lo = _signed_sqrt((big - small) ** 2 - dy2)
+    up = _signed_sqrt(rc2 - dy2)
+    behind = dy < 0.0
+    ahead = dy > 0.0
+    with np.errstate(divide="ignore"):
+        # Flat where rc2 is near 0, so the margin there spans the column.
+        err = np.sqrt(_BOUND_ROUNDING * scale2 * (1.0 + scale2 / (r_f * np.sqrt(rc2))))
+    return (np.where(behind, np.maximum(lo, up - r_f), lo), hi,
+            np.where(ahead, np.maximum(lo, r_f - up), lo),
+            np.where(ahead, np.minimum(hi, r_f + up), hi), err)
+
+
+def _run_indices(z, lo, hi, margin, whole, first, stop):
+    """Index bounds of the cells of z[first:stop] within a closed-form
+    interval [lo, hi] of each column: the cells in [c0, c1) lie more than
+    margin inside it, and those outside [u0, u1) more than margin outside
+    it.  Columns flagged whole get an undecided [u0, u1) of the full range."""
+    u0 = np.clip(np.searchsorted(z, lo - margin, "left"), first, stop)
+    u1 = np.clip(np.searchsorted(z, hi + margin, "right"), u0, stop)
+    c0 = np.clip(np.searchsorted(z, lo + margin, "right"), u0, u1)
+    c1 = np.clip(np.searchsorted(z, hi - margin, "left"), c0, u1)
+    u0[whole] = first
+    u1[whole] = c0[whole] = c1[whole] = stop
+    return (u0, c0, c1, u1)
+
+
+def _range_cells(column, start, length):
+    """(column, z index) arrays of the cells of the ranges
+    [start, start + length) of each column, in blocks of at most SLAB_CELLS."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if ends.size else 0
+    for b0 in range(0, total, SLAB_CELLS):
+        b1 = min(b0 + SLAB_CELLS, total)
+        r0 = int(np.searchsorted(ends, b0, "right"))
+        r1 = int(np.searchsorted(ends, b1, "left")) + 1
+        first = ends[r0:r1] - length[r0:r1]
+        counts = np.minimum(ends[r0:r1], b1) - np.maximum(first, b0)
+        r = np.repeat(np.arange(r0, r1), counts)
+        yield column[r], start[r] + (np.arange(b0, b1) - first[r - r0])
 
 
 def _blocks(nx: int, ny: int, nz: int):

@@ -26,6 +26,11 @@ mutation on that slot's 4-element genome.  The package draws the same
 numbers in the same order and breeds a whole generation with array code.
 fitness_per_genome scores a population one RobotGeometry at a time, with
 coverage(); the package masks unassemblable genomes out with array code.
+
+scan_live_columns is the workspace scan as it ran before column runs: a
+plane probe drops the columns some arm's plane misses, and the kernel tests
+every cell of the others.  The package decides most cells from closed-form
+z-bounds per column and runs the kernel only near the bounds.
 """
 
 from __future__ import annotations
@@ -54,7 +59,12 @@ from deltacut.design_opt import (
 )
 from deltacut.errors import InvalidStream, UnknownProcess, Unreachable, UnreachableSample
 from deltacut.geometry import Pose, RobotGeometry
-from deltacut.kinematics import inverse_kinematics, inverse_kinematics_many
+from deltacut.kinematics import (
+    _plane_cut,
+    inverse_kinematics,
+    inverse_kinematics_many,
+    reachable_mask,
+)
 from deltacut.trajectory import (
     _CSV_HEADER,
     MachineLimits,
@@ -63,7 +73,14 @@ from deltacut.trajectory import (
     _LinePath,
     build_motions,
 )
-from deltacut.workspace import PrescribedWorkspace, coverage
+from deltacut.workspace import (
+    SLAB_CELLS,
+    GridSpec,
+    PrescribedWorkspace,
+    WorkspaceGrid,
+    _blocks,
+    coverage,
+)
 
 TOL = 1e-12
 
@@ -649,3 +666,44 @@ def run_ga_slots(
         config=cfg,
         bounds=bounds,
     )
+
+
+def plane_mask(geometry: RobotGeometry, x, y) -> np.ndarray:
+    """False where some arm's forearm sphere misses that arm's plane.
+
+    That is the kernel's first flag, from its first stage, which reads only
+    x and y; so where plane_mask is False, reachable_mask is False at every z.
+    """
+    miss = [_plane_cut(geometry, x, y, arm)[0] for arm in (1, 2, 3)]
+    return np.logical_not(miss[0] | miss[1] | miss[2])
+
+
+def scan_live_columns(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
+    """Scan the grid; each flag is the exact reachability of the cell centre.
+
+    The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
+    blocks _blocks gives for a single z layer.  Where plane_mask is False
+    a column is unreachable at every z and keeps its initial False;
+    the kernel runs only on a tile's live columns, over z, in blocks of at
+    most SLAB_CELLS cells.  So peak memory is the occupancy plus a fixed
+    block's temporaries, and as the kernel is elementwise, the flags do not
+    depend on the tiling.
+    """
+    nx, ny, nz = spec.dims
+    x = spec.axis_centers("x")
+    y = spec.axis_centers("y")
+    # z broadcasts against a tile's live columns inside the kernel, so steps
+    # that do not depend on z run once per column of a block.
+    z = spec.axis_centers("z")[:, None]
+    occupancy = np.zeros((nz, ny, nx), dtype=bool)
+    for _, ys, xs in _blocks(nx, ny, 1):
+        iy, ix = np.nonzero(plane_mask(geometry, x[xs], y[ys, None]))
+        if iy.size == 0:
+            continue
+        tile = occupancy[:, ys, xs]
+        xl = x[xs][ix]
+        yl = y[ys][iy]
+        kz = SLAB_CELLS // iy.size
+        for z0 in range(0, nz, kz):
+            tile[z0:z0 + kz, iy, ix] = reachable_mask(geometry, xl, yl, z[z0:z0 + kz])
+    return WorkspaceGrid(spec=spec, occupancy=occupancy)

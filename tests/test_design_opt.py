@@ -239,6 +239,20 @@ def test_random_search_budget_must_be_a_count(budget):
         random_search(small_bounds(), small_points(), budget, 0.05, seed=9)
 
 
+@pytest.mark.parametrize("seed", [True, "3", 2 ** 64, -1, 2.5])
+def test_random_search_seed_is_checked_as_the_ga_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        random_search(small_bounds(), small_points(), 5, 0.05, seed)
+    with pytest.raises(ValueError, match="seed"):
+        GaConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_random_search_runs_at_the_seed_range_ends(seed):
+    genome, _ = random_search(small_bounds(), small_points(), 5, 0.05, seed)
+    assert small_bounds().contains(genome)
+
+
 def test_population_fitness_builds_no_geometry(g0):
     genomes = [[g0.f, g0.e, g0.r_f, g0.r_e], [400.0, 60.0, 200.0, 100.0]]
     with mock.patch.object(RobotGeometry, "__post_init__",
