@@ -59,6 +59,7 @@ from .design_opt import (
     run_ga,
 )
 from .trajectory import (
+    SAMPLE_BUDGET,
     ArcSegment,
     Contour,
     CutProgram,
@@ -103,7 +104,8 @@ __all__ = [
     "FaultScript", "FaultWindow", "GaConfig", "GaResult", "GridSpec",
     "InvalidFeed", "InvalidStream", "JointAngles", "LineSegment",
     "MachineLimits", "MotionProfile", "NoSolution", "Pose",
-    "PrescribedWorkspace", "ProcessSpec", "RobotGeometry", "SetpointStream",
+    "PrescribedWorkspace", "ProcessSpec", "RobotGeometry", "SAMPLE_BUDGET",
+    "SetpointStream",
     "SimulationResult", "Singular", "StreamReport", "THETA_MAX", "THETA_MIN",
     "TraceEvent", "UnknownProcess", "Unreachable", "UnreachableSample",
     "Violation", "WatchdogConfig", "WorkspaceGrid", "build_motions",

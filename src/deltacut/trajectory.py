@@ -7,12 +7,17 @@ tick except the last, which is clamped to the exact motion end time so the
 endpoint is hit exactly.  The next motion starts on the first tick boundary
 strictly after that, so the machine dwells stopped for less than one tick at
 each junction and timestamps stay strictly increasing.
+
+build_motions turns a program into one flat row of numbers per motion;
+plan_program samples all rows in one pass of array code, refusing a program
+that needs more than SAMPLE_BUDGET samples before it allocates any.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
@@ -32,6 +37,11 @@ _FULL_CIRCLE_TOL = 1e-9
 # Most stream CSV lines read_stream_csv parses at once, so that its string
 # and float temporaries stay a fixed size whatever the stream length.
 STREAM_BLOCK_ROWS = 4096
+
+# Most samples plan_program plans for one program.  Its peak is about 270
+# bytes per sample on lines and 360 on arcs (tracemalloc), so a plan at the
+# budget stays under 1 GB.
+SAMPLE_BUDGET = 2_500_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,27 +70,6 @@ class MotionProfile:
     t_accel: float
     t_cruise: float
     total_time: float
-
-    def position(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Arc length travelled at time(s) t, clamped to [0, length]."""
-        t = np.asarray(t, dtype=np.float64)
-        d_acc = 0.5 * self.accel * self.t_accel * self.t_accel
-        tau = self.total_time - t
-        return np.where(t <= 0.0, 0.0,
-               np.where(t >= self.total_time, self.length,
-               np.where(t < self.t_accel, 0.5 * self.accel * t * t,
-               np.where(t < self.t_accel + self.t_cruise,
-                        d_acc + self.v_peak * (t - self.t_accel),
-                        self.length - 0.5 * self.accel * tau * tau))))[()]
-
-    def speed(self, t: float) -> float:
-        if t <= 0.0 or t >= self.total_time:
-            return 0.0
-        if t < self.t_accel:
-            return self.accel * t
-        if t < self.t_accel + self.t_cruise:
-            return self.v_peak
-        return self.accel * (self.total_time - t)
 
 
 def plan_profile(path_length: float, limits: MachineLimits, feed: float) -> MotionProfile:
@@ -187,110 +176,78 @@ class CutProgram:
                 raise ValueError("contours must be Contour instances")
 
 
-class _LinePath:
-    __slots__ = ("p0", "p1", "length")
-
-    def __init__(self, p0, p1):
-        self.p0 = p0
-        self.p1 = p1
-        self.length = math.dist(p0, p1)
-
-    def points(self, s: np.ndarray) -> np.ndarray:
-        u = s / self.length
-        return np.column_stack([a + u * (b - a) for a, b in zip(self.p0, self.p1)])
-
-
-class _ArcPath:
-    __slots__ = ("center", "z", "radius", "a0", "sweep", "length", "p1")
-
-    def __init__(self, p0, seg: ArcSegment, z: float):
-        cx, cy = seg.center
-        r0 = math.dist((p0[0], p0[1]), (cx, cy))
-        r1 = math.dist(seg.end, (cx, cy))
-        if abs(r0 - r1) > _ARC_RADIUS_TOL:
-            raise ValueError(
-                f"arc start/end radii differ by {abs(r0 - r1):.3e} mm "
-                f"(start r={r0}, end r={r1})"
-            )
-        if r0 <= 0.0:
-            raise ValueError("arc radius must be positive")
-        self.center = (cx, cy)
-        self.z = z
-        self.radius = r0
-        self.a0 = math.atan2(p0[1] - cy, p0[0] - cx)
-        a1 = math.atan2(seg.end[1] - cy, seg.end[0] - cx)
-        two_pi = 2.0 * math.pi
-        cw = seg.direction == "cw"
-        if math.dist((p0[0], p0[1]), seg.end) <= _FULL_CIRCLE_TOL:
-            sweep = two_pi
-        else:
-            # Directed angle from start to end, in (0, 2*pi].
-            sweep = ((self.a0 - a1) if cw else (a1 - self.a0)) % two_pi or two_pi
-        self.sweep = -sweep if cw else sweep
-        self.length = self.radius * abs(sweep)
-        self.p1 = (seg.end[0], seg.end[1], z)
-
-    def points(self, s: np.ndarray) -> np.ndarray:
-        # math.cos/math.sin: np.cos/np.sin can differ by one ulp on some
-        # hosts and would move the frozen streams.
-        ang = (self.a0 + self.sweep * (s / self.length)).tolist()
-        return np.column_stack((
-            self.center[0] + self.radius * np.array(list(map(math.cos, ang))),
-            self.center[1] + self.radius * np.array(list(map(math.sin, ang))),
-            np.full(len(ang), self.z),
-        ))
-
-
-@dataclass(frozen=True, slots=True)
-class Motion:
-    """One profiled move: a contour segment or a linking rapid."""
-
-    path: object
-    profile: MotionProfile
-    laser_on: bool
-    rapid: bool
+# One profiled move, a contour segment or a linking rapid, as a flat row of
+# numbers: its flags, its profile, its start and end points and, on an arc,
+# the centre, radius, start angle and signed sweep (0.0 on a line).
+Motion = namedtuple("Motion", "rapid laser_on arc length accel v_peak t_accel t_cruise "
+                    "total_time x0 y0 z0 x1 y1 z1 cx cy radius a0 sweep", defaults=(0.0,) * 5)
 
 
 def build_motions(
     program: CutProgram, limits: MachineLimits
 ) -> list[Motion]:
-    """Expand a program into profiled motions, rapids included."""
+    """Expand a program into profiled motions, rapids included.
+
+    A ValueError raised by a segment starts with "contour C segment S: ".
+    """
     if not program.contours:
         raise EmptyProgram("program has no contours")
     motions: list[Motion] = []
     cursor: tuple[float, float, float] | None = None
-    for contour in program.contours:
+    for ci, contour in enumerate(program.contours):
         feed = contour.feed if contour.feed is not None else limits.v_max
-        if contour.feed is not None and contour.feed > limits.v_max:
-            raise InvalidFeed(
-                f"contour feed {contour.feed} exceeds v_max {limits.v_max}"
-            )
+        if feed > limits.v_max:
+            raise InvalidFeed(f"contour {ci}: feed {feed} exceeds v_max {limits.v_max}")
         start3 = (contour.start[0], contour.start[1], contour.z_plane)
-        if cursor is not None and math.dist(cursor, start3) > 0.0:
-            path = _LinePath(cursor, start3)
-            motions.append(Motion(
-                path=path,
-                profile=plan_profile(path.length, limits, limits.v_max),
-                laser_on=False,
-                rapid=True,
-            ))
+        if cursor is not None and (gap := math.dist(cursor, start3)) > 0.0:
+            motions.append(_motion(True, False, cursor, start3, gap, limits, limits.v_max))
         cursor = start3
-        for seg in contour.segments:
-            if isinstance(seg, LineSegment):
-                end3 = (seg.end[0], seg.end[1], contour.z_plane)
-                if math.dist(cursor, end3) == 0.0:
-                    raise ValueError("zero-length line segment in contour")
-                path = _LinePath(cursor, end3)
-            else:
-                path = _ArcPath(cursor, seg, contour.z_plane)
-            motions.append(Motion(
-                path=path,
-                profile=plan_profile(path.length, limits, feed),
-                laser_on=contour.laser_on,
-                rapid=False,
-            ))
-            cursor = path.p1
+        for si, seg in enumerate(contour.segments):
+            end3 = (seg.end[0], seg.end[1], contour.z_plane)
+            with naming(f"contour {ci} segment {si}"):
+                if isinstance(seg, LineSegment):
+                    length, arc = math.dist(cursor, end3), ()
+                    if length == 0.0:
+                        raise ValueError("zero-length line segment")
+                else:
+                    length, *arc = _arc(cursor, seg)
+                motions.append(_motion(False, contour.laser_on, cursor, end3, length,
+                                       limits, feed, *arc))
+            cursor = end3
     return motions
+
+
+def _motion(rapid, laser_on, p0, p1, length, limits, feed, *arc) -> Motion:
+    """The row of a move from p0 to p1; arc is _arc's centre, radius, start
+    angle and sweep, or empty for a line."""
+    p = plan_profile(length, limits, feed)
+    return Motion(rapid, laser_on, bool(arc), p.length, p.accel, p.v_peak, p.t_accel,
+                  p.t_cruise, p.total_time, *p0, *p1, *arc)
+
+
+def _arc(p0, seg: ArcSegment) -> tuple[float, float, float, float, float, float]:
+    """Length, centre x and y, radius, start angle and signed sweep of an arc
+    from p0."""
+    cx, cy = seg.center
+    r0 = math.dist((p0[0], p0[1]), (cx, cy))
+    r1 = math.dist(seg.end, (cx, cy))
+    if abs(r0 - r1) > _ARC_RADIUS_TOL:
+        raise ValueError(
+            f"arc start/end radii differ by {abs(r0 - r1):.3e} mm "
+            f"(start r={r0}, end r={r1})"
+        )
+    if r0 <= 0.0:
+        raise ValueError("arc radius must be positive")
+    a0 = math.atan2(p0[1] - cy, p0[0] - cx)
+    a1 = math.atan2(seg.end[1] - cy, seg.end[0] - cx)
+    two_pi = 2.0 * math.pi
+    cw = seg.direction == "cw"
+    if math.dist((p0[0], p0[1]), seg.end) <= _FULL_CIRCLE_TOL:
+        sweep = two_pi
+    else:
+        # Directed angle from start to end, in (0, 2*pi].
+        sweep = ((a0 - a1) if cw else (a1 - a0)) % two_pi or two_pi
+    return r0 * abs(sweep), cx, cy, r0, a0, -sweep if cw else sweep
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -338,24 +295,7 @@ def plan_program(
     Raises UnreachableSample at the first setpoint outside the workspace.
     """
     lim = limits if limits is not None else MachineLimits()
-    motions = build_motions(program, lim)
-    tick = lim.tick
-
-    times, poses, laser = [], [], []
-    start_tick = 0
-    for motion in motions:
-        total = motion.profile.total_time
-        # ceil(total/tick) whole-tick samples plus the clamped final one; the
-        # slack tolerates one-ulp noise when total is an exact tick multiple.
-        k = np.arange(math.ceil(total / tick - 1e-12))
-        end_t = start_tick * tick + total
-        times += [(start_tick + k) * tick, [end_t]]
-        poses += [motion.path.points(motion.profile.position(k * tick)), [motion.path.p1]]
-        laser.append(np.full(k.size + 1, motion.laser_on))
-        start_tick = math.floor(end_t / tick + 1e-12) + 1
-
-    t = np.concatenate(times)
-    pose_array = np.concatenate(poses)
+    t, pose_array, laser = _sample(build_motions(program, lim), lim.tick)
     joints, reachable = inverse_kinematics_many(geometry, pose_array)
     if not reachable.all():
         # The scalar solver shares the kernel, so it fails here too and
@@ -367,7 +307,63 @@ def plan_program(
         except Unreachable as exc:
             raise UnreachableSample(float(t[i]), pose, exc.arm_index) from exc
 
-    return SetpointStream(t=t, poses=pose_array, joints=joints, laser=np.concatenate(laser))
+    return SetpointStream(t=t, poses=pose_array, joints=joints, laser=laser)
+
+
+def _sample(motions: list[Motion], tick: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, poses and laser flags of every motion's samples, all at once.
+
+    Raises ValueError, before allocating any per-sample array, when the
+    program needs more than SAMPLE_BUDGET samples.
+    """
+    table = np.array(motions).T
+    col = Motion(*table)
+    totals = col.total_time.tolist()
+    # Each motion's ticks plus its final sample, in Python floats, so that a
+    # quotient past the float range is inf without a warning.
+    need = len(totals) + sum(total / tick for total in totals)
+    if not need <= SAMPLE_BUDGET:
+        raise ValueError(f"program needs {need:.6g} samples at tick {tick} s, "
+                         f"budget is {SAMPLE_BUDGET}")
+    # ceil(total/tick) whole-tick samples plus the clamped final one; the
+    # slack tolerates one-ulp noise when total is an exact tick multiple.
+    steps = np.ceil(col.total_time / tick - 1e-12).astype(np.int64)
+    # Each motion starts on the first tick strictly after the last one ends.
+    starts, start_tick = [], 0
+    for total in totals:
+        starts.append(start_tick)
+        start_tick = math.floor((start_tick * tick + total) / tick + 1e-12) + 1
+    starts = np.array(starts, dtype=np.int64)
+    last = np.cumsum(steps + 1) - 1
+    of = np.repeat(np.arange(len(motions)), steps + 1)
+    k = np.arange(of.size) - (last - steps)[of]
+    m = Motion(*table[:, of])
+
+    t = (starts[of] + k) * tick
+    t[last] = starts * tick + col.total_time
+    # Arc length along the profile k ticks into the motion.
+    tm = k * tick
+    half_a = 0.5 * m.accel
+    tau = m.total_time - tm
+    s = np.where(tm <= 0.0, 0.0,
+        np.where(tm >= m.total_time, m.length,
+        np.where(tm < m.t_accel, half_a * tm * tm,
+        np.where(tm < m.t_accel + m.t_cruise,
+                 half_a * m.t_accel * m.t_accel + m.v_peak * (tm - m.t_accel),
+                 m.length - half_a * tau * tau))))
+    u = s / m.length
+    poses = np.column_stack((m.x0 + u * (m.x1 - m.x0), m.y0 + u * (m.y1 - m.y0),
+                             m.z0 + u * (m.z1 - m.z0)))
+    on_arc = np.flatnonzero(m.arc)
+    ang = (m.a0 + m.sweep * u)[on_arc].tolist()
+    # math.cos/math.sin: np.cos/np.sin can differ by one ulp on some
+    # hosts and would move the frozen streams.
+    cos, sin = (np.array(list(map(f, ang))) for f in (math.cos, math.sin))
+    radius = m.radius[on_arc]
+    poses[on_arc] = np.column_stack((m.cx[on_arc] + radius * cos,
+                                     m.cy[on_arc] + radius * sin, m.z1[on_arc]))
+    poses[last] = np.column_stack((col.x1, col.y1, col.z1))
+    return t, poses, m.laser_on != 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,8 +13,10 @@ package finds the same trips from the pulse schedule instead.
 
 plan_samples and write_stream_rows are the planner's sampling loop and the
 stream writer as they first ran: one profile position, one path point and
-one formatted value at a time.  The package computes the same samples and
-bytes from whole arrays.
+one formatted value at a time.  plan_samples reads the motion rows of
+build_motions through profile_position and path_point, one sample at a
+time; the package samples every motion in one pass of array code.  The
+same samples and bytes come out.
 
 read_stream_rows is the stream reader as it first ran: csv.reader, one row
 and one float() per field at a time.  The package parses blocks of lines at
@@ -69,8 +71,6 @@ from deltacut.trajectory import (
     _CSV_HEADER,
     MachineLimits,
     SetpointStream,
-    _ArcPath,
-    _LinePath,
     build_motions,
 )
 from deltacut.workspace import (
@@ -438,36 +438,35 @@ def _laser_run_end(laser_flags, tick: int) -> int:
     return end
 
 
-def profile_position(profile, t: float) -> float:
-    """Arc length travelled at time t, clamped to [0, length]."""
+def profile_position(motion, t: float) -> float:
+    """Arc length travelled at time t into a motion row, clamped to [0, length]."""
     if t <= 0.0:
         return 0.0
-    if t >= profile.total_time:
-        return profile.length
-    if t < profile.t_accel:
-        return 0.5 * profile.accel * t * t
-    d_acc = 0.5 * profile.accel * profile.t_accel * profile.t_accel
-    if t < profile.t_accel + profile.t_cruise:
-        return d_acc + profile.v_peak * (t - profile.t_accel)
-    tau = profile.total_time - t
-    return profile.length - 0.5 * profile.accel * tau * tau
+    if t >= motion.total_time:
+        return motion.length
+    if t < motion.t_accel:
+        return 0.5 * motion.accel * t * t
+    d_acc = 0.5 * motion.accel * motion.t_accel * motion.t_accel
+    if t < motion.t_accel + motion.t_cruise:
+        return d_acc + motion.v_peak * (t - motion.t_accel)
+    tau = motion.total_time - t
+    return motion.length - 0.5 * motion.accel * tau * tau
 
 
-def path_point(path, s: float) -> tuple[float, float, float]:
-    """Point at arc length s along a line or arc path."""
-    if isinstance(path, _LinePath):
-        u = s / path.length
+def path_point(motion, s: float) -> tuple[float, float, float]:
+    """Point at arc length s along a motion row's line or arc."""
+    if not motion.arc:
+        u = s / motion.length
         return (
-            path.p0[0] + u * (path.p1[0] - path.p0[0]),
-            path.p0[1] + u * (path.p1[1] - path.p0[1]),
-            path.p0[2] + u * (path.p1[2] - path.p0[2]),
+            motion.x0 + u * (motion.x1 - motion.x0),
+            motion.y0 + u * (motion.y1 - motion.y0),
+            motion.z0 + u * (motion.z1 - motion.z0),
         )
-    assert isinstance(path, _ArcPath)
-    ang = path.a0 + path.sweep * (s / path.length)
+    ang = motion.a0 + motion.sweep * (s / motion.length)
     return (
-        path.center[0] + path.radius * math.cos(ang),
-        path.center[1] + path.radius * math.sin(ang),
-        path.z,
+        motion.cx + motion.radius * math.cos(ang),
+        motion.cy + motion.radius * math.sin(ang),
+        motion.z1,
     )
 
 
@@ -485,19 +484,19 @@ def plan_samples(geometry, program, limits: MachineLimits | None = None) -> Setp
     for motion in motions:
         if prev_end_t is not None:
             start_tick = math.floor(prev_end_t / tick + 1e-12) + 1
-        total = motion.profile.total_time
+        total = motion.total_time
         # ceil(total/tick) whole-tick samples plus the clamped final one; the
         # slack tolerates one-ulp noise when total is an exact tick multiple.
         steps = math.ceil(total / tick - 1e-12)
         for k in range(steps):
             t_local = k * tick
-            s = profile_position(motion.profile, t_local)
+            s = profile_position(motion, t_local)
             times.append((start_tick + k) * tick)
-            poses.append(path_point(motion.path, s))
+            poses.append(path_point(motion, s))
             laser.append(motion.laser_on)
         end_t = start_tick * tick + total
         times.append(end_t)
-        poses.append(motion.path.p1)
+        poses.append((motion.x1, motion.y1, motion.z1))
         laser.append(motion.laser_on)
         prev_end_t = end_t
 

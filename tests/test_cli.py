@@ -3,6 +3,7 @@ import json
 import pytest
 
 from deltacut import (
+    SAMPLE_BUDGET,
     JointAngles,
     Pose,
     forward_kinematics,
@@ -133,6 +134,49 @@ def test_plan_reproduces_the_golden_stream(capsys, fixtures_dir, tmp_path):
     values = kv(capsys.readouterr().out)
     assert values["samples"] == "59"
     assert out.read_bytes() == (fixtures_dir / "line100_stream.csv").read_bytes()
+
+
+def plan_contours(second: dict) -> str:
+    """A two-contour program whose second contour is second."""
+    first = {"start": [0, 0], "z_plane": -300, "segments": [{"type": "line", "end": [10, 0]}]}
+    return json.dumps({"contours": [first, {"start": [60, 0], "z_plane": -300, **second}]})
+
+
+@pytest.mark.parametrize("second, code, text", [
+    ({"segments": [{"type": "arc", "end": [50, 0], "center": [0, 0]}]}, 2,
+     "ValueError: contour 1 segment 0: arc start/end radii differ by 1.000e+01 mm "
+     "(start r=60.0, end r=50.0)"),
+    ({"segments": [{"type": "line", "end": [60, 10]}, {"type": "line", "end": [60, 10]}]}, 2,
+     "ValueError: contour 1 segment 1: zero-length line segment"),
+    ({"feed": 900, "segments": [{"type": "line", "end": [60, 10]}]}, 1,
+     "InvalidFeed: contour 1: feed 900.0 exceeds v_max 800.0"),
+])
+def test_plan_errors_name_the_contour_and_segment(capsys, fixtures_dir, tmp_path,
+                                                  second, code, text):
+    program = tmp_path / "program.json"
+    program.write_text(plan_contours(second), encoding="utf-8")
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"), "--program", str(program),
+                "--v-max", "800", "--out", str(tmp_path / "out.csv")]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == text
+
+
+@pytest.mark.parametrize("option, need", [
+    (["--tick", "1e-12"], "1.43478e+11 samples at tick 1e-12 s"),
+    (["--tick", "5e-324"], "inf samples at tick 5e-324 s"),
+    (["--a-max", "1e-300"], "8e+153 samples at tick 0.0025 s"),
+])
+def test_plan_over_the_sample_budget_is_a_usage_error(capsys, fixtures_dir, tmp_path,
+                                                      option, need):
+    out = tmp_path / "out.csv"
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(fixtures_dir / "programs/line100.json"),
+                "--out", str(out), *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == (
+        f"ValueError: program needs {need}, budget is {SAMPLE_BUDGET}")
 
 
 def test_simulate_nominal_and_faulted(capsys, fixtures_dir, tmp_path):

@@ -34,10 +34,10 @@ from deltacut import (
 TICK = 0.0025
 
 
-def line_program(feed=1000.0):
+def line_program(feed=1000.0, length=100.0):
     return CutProgram(contours=(Contour(
-        start=(-50.0, 0.0), z_plane=-300.0, laser_on=True, feed=feed,
-        segments=(LineSegment(end=(50.0, 0.0)),),
+        start=(-length / 2.0, 0.0), z_plane=-300.0, laser_on=True, feed=feed,
+        segments=(LineSegment(end=(length / 2.0, 0.0)),),
     ),))
 
 
@@ -56,41 +56,47 @@ def test_limit_defaults():
     assert lim.tick == 0.0025
 
 
-def test_trapezoid_profile_closed_form():
+def test_trapezoid_profile_closed_form(g0):
     lim = MachineLimits()
     prof = plan_profile(100.0, lim, 1000.0)
     assert prof.total_time == oracles.trapezoid_total_time(100.0, 1000.0, 23000.0)
     assert prof.v_peak == 1000.0
     assert prof.t_cruise > 0.0
-    for t in (0.0, 0.01, 0.03, 0.07, 0.1, 0.13, prof.total_time):
-        want = oracles.trapezoid_position(100.0, 1000.0, 23000.0, t)
-        assert abs(prof.position(t) - want) < 1e-12
-    assert prof.position(-1.0) == 0.0
-    assert prof.position(prof.total_time + 1.0) == 100.0
+    stream = plan_program(g0, line_program(), lim)
+    x = stream.poses[:, 0]
+    for k in range(len(stream) - 1):
+        want = oracles.trapezoid_position(100.0, 1000.0, 23000.0, k * TICK)
+        assert abs(x[k] - (-50.0 + want)) < 1e-12
+    # The first sample sits at the start and the clamped last one at the end.
+    assert x[0] == -50.0 and float(stream.t[-1]) == prof.total_time
+    assert x[-1] == 50.0
 
 
-def test_short_move_becomes_triangle():
+def test_short_move_becomes_triangle(g0):
     lim = MachineLimits()
     prof = plan_profile(10.0, lim, 1000.0)
     assert prof.t_cruise == 0.0
     assert prof.v_peak == math.sqrt(23000.0 * 10.0)
     assert prof.total_time == 2.0 * math.sqrt(10.0 / 23000.0)
-    mid = prof.position(prof.total_time / 2.0)
-    assert abs(mid - 5.0) < 1e-12
+    # 16 ticks per move put sample 8 on the peak of the triangle.
+    stream = plan_program(g0, line_program(length=10.0), MachineLimits(tick=prof.total_time / 16.0))
+    assert len(stream) == 17 and float(stream.t[8]) == prof.total_time / 2.0
+    assert abs(stream.poses[8, 0]) < 1e-12
 
 
-def test_profile_position_is_monotone():
-    lim = MachineLimits()
+def test_profile_position_is_monotone(g0):
     rng = np.random.default_rng(8)
     for _ in range(50):
         length = float(rng.uniform(0.5, 400.0))
         feed = float(rng.uniform(5.0, 1000.0))
-        prof = plan_profile(length, lim, feed)
-        ts = np.linspace(0.0, prof.total_time, 257)
-        ss = [prof.position(float(t)) for t in ts]
-        assert all(s2 >= s1 for s1, s2 in zip(ss, ss[1:]))
-        assert ss[0] == 0.0 and ss[-1] == length
-        assert max(prof.speed(float(t)) for t in ts) <= feed * (1.0 + 1e-12)
+        prof = plan_profile(length, MachineLimits(), feed)
+        stream = plan_program(g0, line_program(feed, length),
+                              MachineLimits(tick=prof.total_time / 256.0))
+        ss = stream.poses[:, 0] + length / 2.0
+        assert (np.diff(ss) >= 0.0).all()
+        assert ss[0] == 0.0 and stream.poses[-1, 0] == length / 2.0
+        speed = np.diff(ss) / np.diff(stream.t)
+        assert speed.max() <= feed * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("feed", [0.0, -10.0, 1000.0001])
@@ -213,6 +219,27 @@ def test_unreachable_program_names_the_sample(g0):
 def test_contour_feed_above_limit_rejected(g0):
     with pytest.raises(InvalidFeed):
         plan_program(g0, line_program(feed=1200.0))
+
+
+def test_oversized_plan_is_refused_before_allocating(g0):
+    tracemalloc.start()
+    try:
+        budget = trajectory.SAMPLE_BUDGET
+        with pytest.raises(ValueError, match=f"1.43478e\\+11 samples .* budget is {budget}$"):
+            plan_program(g0, line_program(), MachineLimits(tick=1e-12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sample_budget_counts_ticks_and_motion_ends(g0, monkeypatch):
+    # The 100 mm line takes 0.1435 s, 57.39 ticks of 2.5 ms, plus its end.
+    monkeypatch.setattr(trajectory, "SAMPLE_BUDGET", 59)
+    assert len(plan_program(g0, line_program())) == 59
+    monkeypatch.setattr(trajectory, "SAMPLE_BUDGET", 58)
+    with pytest.raises(ValueError, match="needs 58.3913 samples at tick 0.0025 s, budget is 58$"):
+        plan_program(g0, line_program())
 
 
 def test_csv_round_trip(tmp_path, g0):
