@@ -9,6 +9,7 @@ stderr so output files and pipes stay clean.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
 import time
@@ -23,6 +24,18 @@ _UNITS_EPILOG = (
     "Machine limit defaults: v_max 1000 mm/s, a_max 23000 mm/s^2, "
     "tick 0.0025 s."
 )
+
+
+def _keep_heap() -> None:
+    """Keep freed kernel temporaries resident (README "Command line"); a
+    no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: above a coverage call's temporaries
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: a 2 MB scan temporary stays on the heap
 
 
 def _fmt(value: float) -> str:
@@ -238,6 +251,7 @@ def _cmd_simulate(args) -> int:
 def app(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _keep_heap()
     try:
         return args.func(args)
     except DomainError as exc:

@@ -11,13 +11,15 @@ three forearm spheres after shifting their centres to the platform centroid.
 _arm_kernel is the only place that solves an arm.  Workspace scans call its
 first stage, _plane_cut, which reads only x and y, once per grid column to
 bound the column's reach in closed form.  The kernel runs on Python floats
-(with math.sqrt and a conditional select) or on numpy arrays (with np.sqrt
-and np.where), where the link values may be arrays too.  Its decision path
-uses only +, -, *, /, sqrt, comparisons and selects, all correctly rounded
-in both modes, so scalar IK, workspace scans, batch planning and batch GA
-fitness reach bit-identical verdicts and knees.  Joint angles always come
-from math.atan2, also for arrays: np.arctan2 can differ by one ulp and would
-move the frozen streams.
+(with math.sqrt and max) or on numpy arrays (with np.sqrt and np.maximum),
+where the link values may be arrays too.  It has no branches: clamps are
+maxima, a flag is added or xor-ed in, and the elbow-out branch is a sign
+factor of +1 or -1.  Its decision path uses only +, -, *, /, sqrt,
+comparisons and maxima, all correctly rounded or exact in both modes, so
+scalar IK, workspace scans, batch planning and batch GA fitness reach
+bit-identical verdicts and knees.  Joint angles always come from math.atan2,
+also for arrays: np.arctan2 can differ by one ulp and would move the frozen
+streams.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ REASONS = (
 )
 
 
-def _pick(cond, if_true, if_false):
-    """Scalar counterpart of np.where."""
-    return if_true if cond else if_false
-
-
 def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     """The first stage of _arm_kernel, which reads only x and y.
 
@@ -73,7 +70,7 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     return rc2 < -tol, rc2, x * s + y * c, tol
 
 
-def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
+def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, maximum):
     """Solve one arm for world poses (x, y, z), scalars or arrays alike.
 
     geometry supplies a, b, r_f and r_e: a RobotGeometry, or in array mode a
@@ -83,30 +80,26 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
     flag per entry of REASONS, in check order; the rest is meaningful only
     where no flag is set.  theta = atan2(sin_c, cos_c).
     """
-    a = geometry.a
-    b = geometry.b
-    r_f = geometry.r_f
+    a, b, r_f = geometry.a, geometry.b, geometry.r_f
     plane_miss, rc2, yp, tol = _plane_cut(geometry, x, y, arm_index)
-    rc2 = select(rc2 < 0.0, 0.0, rc2)
+    rc2 = maximum(rc2, 0.0)
 
     # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (yp - b, z), radius
-    # sqrt(rc2).  dy, dz point from the pivot to the platform joint.
-    ey = yp - b
-    dy = ey + a
-    dz = z
-    d2 = dy * dy + dz * dz
+    # sqrt(rc2).  (dy, z) points from the pivot to the platform joint.
+    dy = (yp - b) + a
+    d2 = dy * dy + z * z
     coincident = d2 <= 0.0
-    d = sqrt(select(coincident, 1.0, d2))
+    d = sqrt(d2 + coincident)
 
     # Distance from the pivot to the chord along the centre line, and the
     # half-chord length.  An overflowed d2 makes t NaN, which counts as a miss.
     t = (d2 + r_f * r_f - rc2) / (2.0 * d)
     h2 = r_f * r_f - t * t
-    knee_miss = select(h2 >= -tol, False, True)
-    h = sqrt(select(h2 < 0.0, 0.0, h2))
+    knee_miss = (h2 >= -tol) ^ True
+    h = sqrt(maximum(h2, 0.0))
 
     uy = dy / d
-    uz = dz / d
+    uz = z / d
     ky = -a + t * uy
     kz = t * uz
     oy = -(h * uz)
@@ -114,8 +107,9 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
 
     # Elbow-out branch: smaller knee y; on a y tie prefer the lower knee.
     take_plus = (oy < 0.0) | ((oy == 0.0) & (oz <= 0.0))
-    yj = select(take_plus, ky + oy, ky - oy)
-    zj = select(take_plus, kz + oz, kz - oz)
+    sign = 2.0 * take_plus - 1.0
+    yj = ky + sign * oy
+    zj = kz + sign * oz
 
     # theta measured from the horizontal, positive knee-down; the upper arm
     # points from the pivot to the knee along (-cos, -sin).
@@ -127,9 +121,8 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, select):
 
 def _solve_arm(geometry: RobotGeometry, pose: Pose, arm_index: int):
     """Scalar arm solution (theta, knee_y, knee_z); raises Unreachable."""
-    flags, sin_c, cos_c, yj, zj = _arm_kernel(
-        geometry, pose.x, pose.y, pose.z, arm_index, math.sqrt, _pick
-    )
+    flags, sin_c, cos_c, yj, zj = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm_index,
+                                              math.sqrt, max)
     if any(flags):
         raise Unreachable(arm_index, REASONS[flags.index(True)])
     return math.atan2(sin_c, cos_c), yj, zj
@@ -166,9 +159,8 @@ def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
     # Overflow and the NaN it leads to count as misses, silently, as in
     # scalar mode; they arise with links of about 1e154 mm and up.
     with np.errstate(over="ignore", invalid="ignore"):
-        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.where)
-    plane_miss, coincident, knee_miss, folded = flags
-    return plane_miss | coincident | knee_miss | folded, sin_c, cos_c
+        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.maximum)
+    return flags[0] | flags[1] | flags[2] | flags[3], sin_c, cos_c
 
 
 def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
@@ -177,10 +169,10 @@ def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(geometry.a), np.shape(x), np.shape(y), np.shape(z))
     bad = np.zeros(shape, dtype=bool)
     for arm in (1, 2, 3):
-        # Keeping one arm's arrays until the next arm's call returns lets the
-        # allocator reuse their pages; dropping them at once makes it return
-        # the pages to the OS, which adds half again to a scan's page faults
-        # (6.5 k against 9.7 k minor faults, first 6 mm g0 scan in a process).
+        # Keeping one arm's arrays until the next arm's call returns lets
+        # glibc's default heap reuse their pages: 6.3 k against 9.9 k minor
+        # faults, first 6 mm g0 scan in a process; 5.7 k against 5.5 k under
+        # cli._keep_heap.
         result = _arm_many(geometry, x, y, z, arm)
         bad |= result[0]
     return ~bad

@@ -325,6 +325,9 @@ def _sample(motions: list[Motion], tick: float) -> tuple[np.ndarray, np.ndarray,
     if not need <= SAMPLE_BUDGET:
         raise ValueError(f"program needs {need:.6g} samples at tick {tick} s, "
                          f"budget is {SAMPLE_BUDGET}")
+    # The last motion ends within a tick per motion of the summed times.
+    if not math.isfinite(sum(totals) + len(totals) * tick):
+        raise ValueError(f"program end time overflows the float range at tick {tick} s")
     # ceil(total/tick) whole-tick samples plus the clamped final one; the
     # slack tolerates one-ulp noise when total is an exact tick multiple.
     steps = np.ceil(col.total_time / tick - 1e-12).astype(np.int64)

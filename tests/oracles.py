@@ -33,6 +33,11 @@ scan_live_columns is the workspace scan as it ran before column runs: a
 plane probe drops the columns some arm's plane misses, and the kernel tests
 every cell of the others.  The package decides most cells from closed-form
 z-bounds per column and runs the kernel only near the bounds.
+
+arm_kernel_selects is the arm kernel as it ran with conditional selects:
+np.where on arrays and pick on Python floats, for every clamp, flag and
+elbow-out branch.  The package clamps with maxima, adds or xors the flags
+in and takes the branch as a sign factor of +1 or -1, with no selects.
 """
 
 from __future__ import annotations
@@ -706,3 +711,45 @@ def scan_live_columns(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
         for z0 in range(0, nz, kz):
             tile[z0:z0 + kz, iy, ix] = reachable_mask(geometry, xl, yl, z[z0:z0 + kz])
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
+
+
+def pick(cond, if_true, if_false):
+    """Scalar counterpart of np.where."""
+    return if_true if cond else if_false
+
+
+def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
+    """kinematics._arm_kernel with selects: (np.sqrt, np.where) or (math.sqrt, pick)."""
+    a = geometry.a
+    b = geometry.b
+    r_f = geometry.r_f
+    plane_miss, rc2, yp, tol = _plane_cut(geometry, x, y, arm_index)
+    rc2 = select(rc2 < 0.0, 0.0, rc2)
+
+    ey = yp - b
+    dy = ey + a
+    dz = z
+    d2 = dy * dy + dz * dz
+    coincident = d2 <= 0.0
+    d = sqrt(select(coincident, 1.0, d2))
+
+    t = (d2 + r_f * r_f - rc2) / (2.0 * d)
+    h2 = r_f * r_f - t * t
+    knee_miss = select(h2 >= -tol, False, True)
+    h = sqrt(select(h2 < 0.0, 0.0, h2))
+
+    uy = dy / d
+    uz = dz / d
+    ky = -a + t * uy
+    kz = t * uz
+    oy = -(h * uz)
+    oz = h * uy
+
+    take_plus = (oy < 0.0) | ((oy == 0.0) & (oz <= 0.0))
+    yj = select(take_plus, ky + oy, ky - oy)
+    zj = select(take_plus, kz + oz, kz - oz)
+
+    sin_c = -zj
+    cos_c = -(yj + a)
+    folded = ((sin_c < 0.0) & (cos_c <= 0.0)) | ((sin_c == 0.0) & (cos_c < 0.0))
+    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c, yj, zj

@@ -179,6 +179,18 @@ def test_plan_over_the_sample_budget_is_a_usage_error(capsys, fixtures_dir, tmp_
         f"ValueError: program needs {need}, budget is {SAMPLE_BUDGET}")
 
 
+def test_plan_past_the_float_range_is_a_usage_error(capsys, fixtures_dir, tmp_path):
+    # Three motions need only a few samples, but the third starts at 2e308 s.
+    out = tmp_path / "out.csv"
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(fixtures_dir / "programs/multi.json"),
+                "--out", str(out), "--tick", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == (
+        "ValueError: program end time overflows the float range at tick 1e+308 s")
+
+
 def test_simulate_nominal_and_faulted(capsys, fixtures_dir, tmp_path):
     stream = str(fixtures_dir / "line100_stream.csv")
     trace = tmp_path / "trace.txt"

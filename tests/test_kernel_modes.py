@@ -8,6 +8,7 @@ poses, the frozen recovery point set, random grids and random genomes.
 """
 
 import math
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ from deltacut import (
 from deltacut import design_opt, kinematics, workspace
 from deltacut.design_opt import population_fitness
 from deltacut.kinematics import _arm_kernel, inverse_kinematics_many, reachable_mask
-from oracles import scan_live_columns
+from oracles import arm_kernel_selects, pick, scan_live_columns
 
 G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
 RECOVERY = [tuple(p) for p in load_fixture("recovery_points.json")["points"]]
@@ -101,6 +102,66 @@ def test_batch_angles_equal_scalar_angles(geometry, points):
         assert row.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
+Links = namedtuple("Links", "a b r_f r_e")
+# Integral links make the special poses below exact; links of 1e154 mm and
+# up overflow the squares, and the verdict then rests on NaN propagation.
+small_link = st.one_of(st.integers(1, 1000).map(float), st.floats(1.0, 1000.0))
+huge_link = st.one_of(st.floats(1e154, 1e308), st.sampled_from([1e154, 1e200, 1.7e308]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Links and a pose, often one that sits on a branch point of arm 1.
+
+    In arm 1's frame: the platform joint on the pivot (coincident), the two
+    circles tangent outside or inside (h2 = 0, so oy = 0 ties), or a pose
+    on the base plane (uz = 0, so oy = 0 ties with h > 0); each exact, or
+    nudged by a relative step within or beyond the tangent tolerance.  One
+    case in four has some links of 1e154 mm or more.
+    """
+    links = [draw(small_link) for _ in range(4)]
+    if draw(st.integers(0, 3)) == 0:
+        for i in draw(st.sets(st.integers(0, 3), min_size=1)):
+            links[i] = draw(huge_link)
+    links = Links(*links)
+    a, b, r_f, r_e = links
+    kind = draw(st.sampled_from(["pose", "coincident", "outer", "inner", "base"]))
+    if kind == "pose":
+        return links, draw(poses)
+    # Tangency needs x = 0; elsewhere x may pass the square of a huge r_e.
+    x = 0.0 if kind in ("outer", "inner") else draw(st.one_of(st.just(0.0), span, huge_link))
+    y = {"coincident": b - a, "outer": b - a + (r_f + r_e), "inner": b - a + abs(r_e - r_f),
+         "base": draw(span)}[kind]
+    y *= 1.0 + draw(st.sampled_from([0.0, 0.0, 0.0, 1e-15, -1e-15, 1e-7, -1e-7]))
+    return links, (x, y, 0.0)
+
+
+def canonical_bits(values):
+    """The float64 bits of values, with every NaN as the same NaN."""
+    v = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases=st.lists(kernel_cases(), min_size=1, max_size=20), arm=st.sampled_from([1, 2, 3]))
+def test_kernel_without_selects_equals_the_select_kernel(cases, arm):
+    # Scalar mode, one case at a time.
+    for links, (x, y, z) in cases:
+        got = _arm_kernel(links, x, y, z, arm, math.sqrt, max)
+        want = arm_kernel_selects(links, x, y, z, arm, math.sqrt, pick)
+        assert got[0] == want[0]
+        assert canonical_bits(got[1:]) == canonical_bits(want[1:])
+    # Array mode, every case at once, with one set of links per pose.
+    links = Links(*(np.array(v) for v in zip(*(c[0] for c in cases))))
+    x, y, z = (np.array(v) for v in zip(*(c[1] for c in cases)))
+    with np.errstate(all="ignore"):
+        got = _arm_kernel(links, x, y, z, arm, np.sqrt, np.maximum)
+        want = arm_kernel_selects(links, x, y, z, arm, np.sqrt, np.where)
+    for g, w in zip(got[0], want[0]):
+        assert g.dtype == bool and g.tolist() == w.tolist()
+    assert canonical_bits(got[1:]) == canonical_bits(want[1:])
+
+
 @st.composite
 def grid_specs(draw):
     """Small boxes in, across and beyond the reach of the drawn geometries."""
@@ -144,7 +205,7 @@ def test_block_scan_equals_one_kernel_call(geometry, spec, data):
     # reaches: those no arm flags as a plane miss in one whole-grid call.
     miss = np.zeros((1, ny, nx), dtype=bool)
     for arm in (1, 2, 3):
-        miss |= _arm_kernel(geometry, x, y, z, arm, np.sqrt, np.where)[0][0]
+        miss |= _arm_kernel(geometry, x, y, z, arm, np.sqrt, np.maximum)[0][0]
     live_columns = np.count_nonzero(~miss)
     got, sizes = scan_with_spy(geometry, spec, slab)
     assert np.array_equal(got, want)
