@@ -133,9 +133,6 @@ class FaultWindow:
         if e < s:
             raise ValueError(f"end_tick {e} precedes start_tick {s}")
 
-    def covers(self, tick: int) -> bool:
-        return self.start_tick <= tick <= self.end_tick
-
 
 @dataclass(frozen=True, slots=True)
 class FaultScript:

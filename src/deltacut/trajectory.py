@@ -11,10 +11,20 @@ each junction and timestamps stay strictly increasing.
 build_motions turns a program into one flat row of numbers per motion;
 plan_program samples all rows in one pass of array code, refusing a program
 that needs more than SAMPLE_BUDGET samples before it allocates any.
+
+write_stream_csv formats STREAM_BLOCK_ROWS rows at a time in array code,
+byte for byte as "%.17g" would: each value is scaled by a power of ten in
+double-double arithmetic to a 17-digit integer, whose digits are laid out in
+fixed NUL-padded cells, and one bytes.translate drops the NULs of a block.
+A row holding a value whose rounding that cannot certify (a near tie at the
+17th digit, a decade log10 may have got wrong, or a magnitude beyond the
+table of powers) is formatted by the "%.17g" line template instead, so the
+output is exact for every finite value.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from collections import namedtuple
@@ -34,9 +44,11 @@ _CSV_HEADER = ("t", "x", "y", "z", "theta1", "theta2", "theta3", "laser")
 _ARC_RADIUS_TOL = 1e-6
 _FULL_CIRCLE_TOL = 1e-9
 
-# Most stream CSV lines read_stream_csv parses at once, so that its string
-# and float temporaries stay a fixed size whatever the stream length.
-STREAM_BLOCK_ROWS = 4096
+# Most stream CSV lines read_stream_csv parses, and write_stream_csv formats,
+# at once, so that their temporaries stay a fixed size whatever the stream
+# length: about 3 MB to read a block and 4 MB to write one (tracemalloc).
+# Either side takes as long per row at 2,048 as at 4,096.
+STREAM_BLOCK_ROWS = 2048
 
 # Most samples plan_program plans for one program.  Its peak is about 270
 # bytes per sample on lines and 360 on arcs (tracemalloc), so a plan at the
@@ -455,11 +467,112 @@ def validate_stream(
 
 def write_stream_csv(stream: SetpointStream, path: str | Path) -> None:
     """Write the stream contract CSV: fixed header, 17 significant digits, LF."""
-    rows = np.column_stack((stream.t, stream.poses, stream.joints, stream.laser)).tolist()
     line = "%.17g," * 7 + "%d\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_CSV_HEADER) + "\n")
-        fh.write("".join(line % tuple(row) for row in rows))
+    with open(path, "wb") as fh:
+        fh.write((",".join(_CSV_HEADER) + "\n").encode())
+        for s in range(0, len(stream), STREAM_BLOCK_ROWS):
+            e = s + STREAM_BLOCK_ROWS
+            values = np.column_stack((stream.t[s:e], stream.poses[s:e], stream.joints[s:e]))
+            # Column by column, a 45-byte value cell, its comma, and on the
+            # last value of a row the laser flag and LF; NUL pads the rest.
+            cells = np.zeros((48, len(values), 7), np.uint8)
+            exact = _format_g17(values.ravel(), cells[:45].reshape(45, -1)).reshape(-1, 7)
+            cells[45] = ord(",")
+            cells[46, :, 6] = stream.laser[s:e] + ord("0")
+            cells[47, :, 6] = ord("\n")
+            rows = cells.transpose(1, 2, 0).reshape(len(values), -1)
+            for i in np.flatnonzero(~exact.all(axis=1)).tolist():
+                text = (line % (*values[i].tolist(), stream.laser[s + i])).encode()
+                rows[i] = np.frombuffer(text.ljust(rows.shape[1], b"\0"), np.uint8)
+            fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows for k in [-280, 280]: 10**(16 - k) as hi + lo, hi's two halves
+    for Dekker's product, and the least double not below 10**k.
+
+    Built on first use: the big-int divisions take a few milliseconds.  The
+    range keeps 10**(16 - k), |x| and their splits well inside the doubles.
+    """
+    def nearest(e):
+        """10**e's nearest double and the rest's, by correctly rounded int / int."""
+        num, den = 10 ** max(e, 0), 10 ** max(-e, 0)
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        return hi, (num * d - n * den) / (den * d)
+
+    rows = []
+    for k in range(-280, 281):
+        near, rest = nearest(k)
+        rows.append((*nearest(16 - k), math.nextafter(near, math.inf) if rest > 0 else near))
+    hi, lo, floor = np.array(rows).T
+    c = 134217729.0 * hi  # 2**27 + 1 splits a double into two 26-bit halves
+    head = c - (c - hi)
+    table = np.stack((hi, head, hi - head, lo, floor))
+    table.setflags(write=False)
+    return table
+
+
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+
+
+def _format_g17(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay out "%.17g" of each x in the columns of out; True where certified.
+
+    Column j of out is one cell: the sign, a leading 0, the integer digits,
+    the point, up to three zeros, the fraction digits and the exponent,
+    each in fixed rows of NUL-padded bytes.  With k = floor(log10|x|),
+    |x| * 10**(16 - k) is taken in double-double arithmetic and rounded to
+    the 17-digit integer D.  The result is certified unless the fraction
+    is within 1e-6 of a half, |x| < 10**k (log10 rounded up), or the
+    product is within 64 of 1e17 (log10 rounded down, or D would round up
+    to 1e17); 0.0 and -0.0 are exact.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        k = np.floor(np.log10(a))
+    table = _powers_of_ten()
+    k_max = table.shape[1] // 2
+    exact = np.abs(k) <= k_max
+    a = np.where(exact, a, 0.0)
+    k = np.where(exact, k, 0.0).astype(np.int64)
+    hi, hi_head, hi_tail, lo, floor = np.take(table, k + k_max, axis=1)
+    c = 134217729.0 * a
+    head = c - (c - a)
+    tail = a - head
+    p = a * hi
+    err = ((head * hi_head - p) + head * hi_tail + tail * hi_head) + tail * hi_tail + a * lo
+    whole = np.floor(err)
+    frac = err - whole
+    exact &= (np.abs(frac - 0.5) > 1e-6) & (a >= floor) & (p <= 1e17 - 64)
+    exact |= x == 0.0
+    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    digits = np.empty((17, x.size), np.uint8)
+    for j in range(15, 0, -2):
+        q = d // 100
+        digits[j:j + 2] = np.take(_DIGIT_PAIRS, d - q * 100).view(np.uint8).reshape(-1, 2).T
+        d = q
+    digits[0] = d + ord("0")
+    i = np.arange(17, dtype=np.uint8)[:, None]
+    last = (i * (digits != ord("0"))).max(axis=0)  # the last nonzero digit
+    # The digit before the point: "%g" takes exponent form when k < -4 or
+    # k >= 17, and trailing zeros go.
+    fixed = (k >= -4) & (k < 17)
+    point = np.where(fixed, k, 0)
+    out[0] = np.where(np.signbit(x), ord("-"), 0)
+    out[1] = np.where(point < 0, ord("0"), 0)
+    np.multiply(digits, i <= point, out=out[2:19])
+    out[19] = np.where(last > point, ord("."), 0)
+    out[20:23] = np.where(i[:3] < -1 - point, ord("0"), 0)
+    np.multiply(digits, (i > point) & (i <= last), out=out[23:40])
+    mag = np.abs(k)
+    out[40] = ord("e")
+    out[41] = np.where(k < 0, ord("-"), ord("+"))
+    out[42] = np.where(mag >= 100, mag // 100 + ord("0"), 0)
+    out[43:45] = np.take(_DIGIT_PAIRS, mag % 100).view(np.uint8).reshape(-1, 2).T
+    out[40:45] *= ~fixed
+    return exact
 
 
 def read_stream_csv(path: str | Path) -> SetpointStream:
@@ -483,7 +596,7 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
             if b"\r" in chunk:
                 cap += chunk.count(b"\r") - chunk.count(b"\r\n")
         raw.seek(0)
-        fh = io.TextIOWrapper(raw, encoding="utf-8")
+        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
         header = fh.readline()
         if not header:
             raise InvalidStream(f"stream file {path} is empty")

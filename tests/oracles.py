@@ -321,6 +321,11 @@ class _ProcState:
         self.tripped = False
 
 
+def covers(window, tick: int) -> bool:
+    """Whether a fault window suppresses the pulse of its process at tick."""
+    return window.start_tick <= tick <= window.end_tick
+
+
 def simulate_ticks(
     stream: SetpointStream,
     config: WatchdogConfig | None = None,
@@ -356,7 +361,7 @@ def simulate_ticks(
         # Pulses land before the lateness check on the same tick.
         if tick % period == 0:
             for st in states:
-                if not any(w.covers(tick) for w in windows_by_proc[st.spec.name]):
+                if not any(covers(w, tick) for w in windows_by_proc[st.spec.name]):
                     st.last_pulse = tick
                     st.tripped = False
 

@@ -247,6 +247,20 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
     assert "InvalidStream" in capsys.readouterr().err
 
 
+def test_stream_with_a_non_utf8_byte_names_the_file_and_line(capsys, fixtures_dir, tmp_path):
+    lines = (fixtures_dir / "line100_stream.csv").read_bytes().split(b"\n")
+    fields = lines[4].split(b",")
+    fields[5] = b"\xff" + fields[5]  # theta2 of the fourth sample, line 5
+    lines[4] = b",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    code = app(["simulate", "--stream", str(bad), "--out", str(tmp_path / "trace.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"InvalidStream: stream file {bad}: line 5: could not convert")
+    assert "Traceback" not in err and "UnicodeDecodeError" not in err
+
+
 @pytest.mark.parametrize("base, flag, content, field", [
     (["optimize", "--prescribed", "prescribed_mixed10.json"], "--bounds",
      '{"f": [null, 1], "e": [40, 300], "rf": [60, 400], "re": [150, 700]}', "f bounds"),

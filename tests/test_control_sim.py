@@ -83,7 +83,7 @@ def test_fault_window_validation():
     with pytest.raises(ValueError):
         FaultWindow("motion", 9, 5)
     w = FaultWindow("motion", 3, 7)
-    assert w.covers(3) and w.covers(7) and not w.covers(8)
+    assert oracles.covers(w, 3) and oracles.covers(w, 7) and not oracles.covers(w, 8)
 
 
 def test_nominal_run_completes():

@@ -443,12 +443,44 @@ special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 values = special | st.floats(allow_nan=False, allow_infinity=False)
 
 
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
 @st.composite
-def raw_streams(draw):
+def dyadic_ties(draw):
+    """m / 2**j with m odd and m * 5**j of 18 digits: its 17th digit is a tie."""
+    j = draw(st.integers(2, 25))
+    lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+    return math.ldexp(draw(st.integers(lo // 2, (hi - 1) // 2)) * 2 + 1, -j)
+
+
+# Values the "%.17g" fast path finds hard: ulps around a power of ten and
+# around the points where "%g" changes form, 17th-digit ties and near ties,
+# trailing zeros, subnormals and the ends of the float range.
+adversarial = st.builds(
+    math.copysign,
+    st.one_of(
+        st.builds(nudged, st.integers(-330, 308).map(lambda k: float(f"1e{k}"))
+                  | st.sampled_from([1e-5, 1e-4, 1e16, 1e17, 1e308]), st.integers(-3, 3)),
+        dyadic_ties(),
+        st.integers(10**16, 10**18).map(lambda n: float(n * 10 + 5)),
+        st.integers(2**54, 2**70).map(float),
+        st.builds(lambda n, k: n * 10.0**k, st.integers(-10**6, 10**6), st.integers(-12, 12)),
+        st.integers(1, 2**52 - 1).map(lambda m: math.ldexp(m, -1074)),
+    ),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@st.composite
+def raw_streams(draw, elements=values):
     """1-12 samples of arbitrary finite values with any laser pattern."""
-    t = sorted(set(draw(st.lists(values, min_size=1, max_size=12))))
+    t = sorted(set(draw(st.lists(elements, min_size=1, max_size=12))))
     n = len(t)
-    table = np.array(draw(st.lists(values, min_size=6 * n, max_size=6 * n))).reshape(n, 6)
+    table = np.array(draw(st.lists(elements, min_size=6 * n, max_size=6 * n))).reshape(n, 6)
     laser = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     # Gaps between +-1e308 timestamps overflow to inf, which still increases.
     with np.errstate(over="ignore"):
@@ -456,14 +488,71 @@ def raw_streams(draw):
                               laser=laser)
 
 
-@settings(max_examples=200, deadline=None)
-@given(stream=raw_streams())
-def test_array_writer_matches_the_value_writer(stream):
+def write_both(stream, block_rows):
+    """The block writer's and the value writer's bytes for one stream."""
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
-        write_stream_csv(stream, got)
+        with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", block_rows):
+            write_stream_csv(stream, got)
         oracles.write_stream_rows(stream, want)
-        assert got.read_bytes() == want.read_bytes()
+        return got.read_bytes(), want.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=raw_streams(values | adversarial), block_rows=st.sampled_from([1, 2, 7])
+       | st.integers(1, 14))
+def test_array_writer_matches_the_value_writer(stream, block_rows):
+    got, want = write_both(stream, block_rows)
+    assert got == want
+
+
+def hard_stream():
+    """The adversarial kinds of values, a few thousand of each sign, in rows."""
+    rng = np.random.default_rng(15)
+    tens = [float(f"1e{k}") for k in range(-330, 309)] + [1e-5, 1e-4, 1e16, 1e17]
+    ties = [math.ldexp(int(m) | 1, -j) for j in range(2, 26)
+            for m in rng.integers(-(-10**17 // 5**j), min(10**18 // 5**j, 2**53), 40)]
+    hard = np.array(
+        [nudged(x, u) for x in tens for u in range(-3, 4)] + ties
+        + [float(n * 10 + 5) for n in rng.integers(10**16, 10**17, 200).tolist()]
+        + (rng.integers(-10**6, 10**6, 500) * 10.0 ** rng.integers(-12, 12, 500)).tolist()
+        + [math.ldexp(int(m), -1074) for m in rng.integers(1, 2**52, 100)])
+    hard = np.concatenate((hard, -hard, [0.0, -0.0, 1e308, -1e308]))
+    table = np.resize(rng.permutation(hard), (-(-hard.size // 6), 6))
+    return SetpointStream(t=np.arange(len(table)) * TICK, poses=table[:, :3],
+                          joints=table[:, 3:], laser=table[:, 0] > 0)
+
+
+def test_array_writer_matches_the_value_writer_on_hard_values():
+    got, want = write_both(hard_stream(), 1000)
+    assert got == want
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_array_writer_survives_a_log10_one_ulp_off(toward):
+    # Another C library may round log10 the other way near a power of ten;
+    # the wrong decade that gives must go to the line template.
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: np.nextafter(log10(a), toward)):
+        got, want = write_both(hard_stream(), 1000)
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(stream=raw_streams(values | adversarial), block_rows=st.integers(1, 14))
+def test_writer_fallback_alone_matches_the_value_writer(stream, block_rows):
+    # With no value certified, every row goes through the "%.17g" line template.
+    with mock.patch.object(trajectory, "_format_g17", lambda x, out: np.zeros(x.shape, bool)):
+        got, want = write_both(stream, block_rows)
+    assert got == want
+
+
+def test_writer_certifies_nearly_every_planned_value(g0, fixtures_dir):
+    program = load_program(fixtures_dir / "programs" / "multi.json")
+    stream = plan_program(g0, program)
+    values = np.column_stack((stream.t, stream.poses, stream.joints)).ravel()
+    exact = trajectory._format_g17(values, np.zeros((45, values.size), np.uint8))
+    assert np.count_nonzero(~exact) <= values.size // 1000
 
 
 def test_csv_names_the_line_of_a_non_finite_time(tmp_path):
@@ -483,13 +572,15 @@ def test_csv_refuses_quoted_fields(tmp_path):
         read_stream_csv(path)
 
 
-def test_stream_read_memory_is_bounded(tmp_path):
-    n = 200_000
+def long_stream(n):
     rng = np.random.default_rng(8)
-    stream = SetpointStream(t=np.arange(n) * TICK, poses=rng.uniform(-400.0, 400.0, (n, 3)),
-                            joints=rng.uniform(-1.0, 2.0, (n, 3)), laser=rng.random(n) < 0.5)
+    return SetpointStream(t=np.arange(n) * TICK, poses=rng.uniform(-400.0, 400.0, (n, 3)),
+                          joints=rng.uniform(-1.0, 2.0, (n, 3)), laser=rng.random(n) < 0.5)
+
+
+def test_stream_read_memory_is_bounded(tmp_path):
     path = tmp_path / "long.csv"
-    write_stream_csv(stream, path)
+    write_stream_csv(long_stream(200_000), path)
     tracemalloc.start()
     try:
         got = read_stream_csv(path)
@@ -497,9 +588,22 @@ def test_stream_read_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     result = sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
-    # Blocks of STREAM_BLOCK_ROWS lines take about 5 MB whatever the row
+    # Blocks of STREAM_BLOCK_ROWS lines take about 3 MB whatever the row
     # count; the row-by-row reader peaked at 86 MB on this file.
     assert peak < result + 6 * 2**20
+
+
+def test_stream_write_memory_is_bounded(tmp_path):
+    stream = long_stream(200_000)
+    tracemalloc.start()
+    try:
+        write_stream_csv(stream, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Blocks of STREAM_BLOCK_ROWS rows take about 4 MB whatever the row
+    # count; the writer that built the whole text peaked at 124 MB here.
+    assert peak < 6 * 2**20
 
 
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
