@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import (
     THETA_MAX,
     THETA_MIN,
-    ArmSolution,
     JointAngles,
     Pose,
     RobotGeometry,
@@ -30,7 +29,6 @@ from .kinematics import (
     forward_kinematics,
     inverse_kinematics,
     is_reachable,
-    solve_arm_angle,
 )
 from .workspace import (
     CELL_BUDGET,
@@ -52,7 +50,6 @@ from .design_opt import (
     GaConfig,
     GaResult,
     candidate_fitness,
-    fitness,
     load_bounds,
     load_ga_config,
     random_search,
@@ -65,13 +62,11 @@ from .trajectory import (
     CutProgram,
     LineSegment,
     MachineLimits,
-    MotionProfile,
     SetpointStream,
     StreamReport,
     Violation,
     build_motions,
     load_program,
-    plan_profile,
     plan_program,
     read_stream_csv,
     validate_stream,
@@ -99,25 +94,22 @@ from .control_sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSegment", "ArmSolution", "CELL_BUDGET", "CellBudgetExceeded",
-    "Contour", "CutProgram", "DesignBounds", "DomainError", "EmptyProgram",
-    "FaultScript", "FaultWindow", "GaConfig", "GaResult", "GridSpec",
-    "InvalidFeed", "InvalidStream", "JointAngles", "LineSegment",
-    "MachineLimits", "MotionProfile", "NoSolution", "Pose",
-    "PrescribedWorkspace", "ProcessSpec", "RobotGeometry", "SAMPLE_BUDGET",
-    "SetpointStream",
-    "SimulationResult", "Singular", "StreamReport", "THETA_MAX", "THETA_MIN",
-    "TraceEvent", "UnknownProcess", "Unreachable", "UnreachableSample",
-    "Violation", "WatchdogConfig", "WorkspaceGrid", "build_motions",
-    "candidate_fitness", "compute_workspace", "coverage", "default_grid_spec",
-    "default_processes",
-    "dump_grid", "fitness", "format_trace", "forward_kinematics",
-    "inverse_kinematics", "is_reachable", "is_reachable_many", "load_bounds",
-    "load_fault_script",
+    "ArcSegment", "CELL_BUDGET", "CellBudgetExceeded", "Contour", "CutProgram",
+    "DesignBounds", "DomainError", "EmptyProgram", "FaultScript",
+    "FaultWindow", "GaConfig", "GaResult", "GridSpec", "InvalidFeed",
+    "InvalidStream", "JointAngles", "LineSegment", "MachineLimits",
+    "NoSolution", "Pose", "PrescribedWorkspace", "ProcessSpec",
+    "RobotGeometry", "SAMPLE_BUDGET", "SetpointStream", "SimulationResult",
+    "Singular", "StreamReport", "THETA_MAX", "THETA_MIN", "TraceEvent",
+    "UnknownProcess", "Unreachable", "UnreachableSample", "Violation",
+    "WatchdogConfig", "WorkspaceGrid", "build_motions", "candidate_fitness",
+    "compute_workspace", "coverage", "default_grid_spec", "default_processes",
+    "dump_grid", "format_trace", "forward_kinematics", "inverse_kinematics",
+    "is_reachable", "is_reachable_many", "load_bounds", "load_fault_script",
     "load_ga_config", "load_geometry", "load_grid", "load_prescribed",
-    "load_program", "load_watchdog_config", "plan_profile", "plan_program",
-    "random_search", "read_stream_csv", "read_trace", "replay_check",
-    "run_ga", "save_fault_script", "save_geometry", "save_prescribed",
-    "save_watchdog_config", "simulate", "solve_arm_angle", "validate_stream",
-    "volume_estimate", "write_stream_csv", "write_trace",
+    "load_program", "load_watchdog_config", "plan_program", "random_search",
+    "read_stream_csv", "read_trace", "replay_check", "run_ga",
+    "save_fault_script", "save_geometry", "save_prescribed",
+    "save_watchdog_config", "simulate", "validate_stream", "volume_estimate",
+    "write_stream_csv", "write_trace",
 ]

@@ -67,12 +67,6 @@ class DesignBounds:
     def sum_upper(self) -> float:
         return float(self.upper().sum())
 
-    def contains(self, genome) -> bool:
-        lo = self.lower()
-        hi = self.upper()
-        g = np.asarray(genome, dtype=np.float64)
-        return bool((g >= lo).all() and (g <= hi).all())
-
     def to_dict(self) -> dict:
         return {"f": list(self.f), "e": list(self.e),
                 "rf": list(self.r_f), "re": list(self.r_e)}
@@ -177,17 +171,6 @@ def candidate_fitness(
 ) -> float:
     """population_fitness of one genome."""
     return float(population_fitness([genome], prescribed, size_penalty_weight, bounds)[0])
-
-
-def fitness(
-    geometry: RobotGeometry,
-    prescribed: PrescribedWorkspace,
-    size_penalty_weight: float,
-    bounds: DesignBounds,
-) -> float:
-    """population_fitness of one geometry."""
-    genome = (geometry.f, geometry.e, geometry.r_f, geometry.r_e)
-    return candidate_fitness(genome, prescribed, size_penalty_weight, bounds)
 
 
 def _rank(fits: np.ndarray) -> np.ndarray:

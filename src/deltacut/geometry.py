@@ -120,19 +120,6 @@ class JointAngles:
         return (self.theta1, self.theta2, self.theta3)
 
 
-@dataclass(frozen=True, slots=True)
-class ArmSolution:
-    """Per-arm inverse kinematics result in the arm's own working plane.
-
-    knee is the (y, z) position of the elbow joint in the arm frame, where
-    the pivot sits at (-a, 0).
-    """
-
-    arm_index: int
-    theta: float
-    knee: tuple[float, float]
-
-
 def load_geometry(path: str | Path) -> RobotGeometry:
     """Read a geometry JSON file with keys f, e, rf, re (mm)."""
     with read_json(path, "geometry file") as raw:

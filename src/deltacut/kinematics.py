@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import NoSolution, Singular, Unreachable
-from .geometry import ArmSolution, JointAngles, Pose, RobotGeometry, THETA_MAX, THETA_MIN
+from .geometry import JointAngles, Pose, RobotGeometry, THETA_MAX, THETA_MIN
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -119,30 +119,16 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, maximum)
     return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c, yj, zj
 
 
-def _solve_arm(geometry: RobotGeometry, pose: Pose, arm_index: int):
-    """Scalar arm solution (theta, knee_y, knee_z); raises Unreachable."""
-    flags, sin_c, cos_c, yj, zj = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm_index,
-                                              math.sqrt, max)
-    if any(flags):
-        raise Unreachable(arm_index, REASONS[flags.index(True)])
-    return math.atan2(sin_c, cos_c), yj, zj
-
-
-def solve_arm_angle(geometry: RobotGeometry, pose: Pose, arm_index: int) -> ArmSolution:
-    """Inverse kinematics for a single arm; raises Unreachable on failure."""
-    if arm_index not in (1, 2, 3):
-        raise ValueError(f"arm_index must be 1, 2 or 3, got {arm_index!r}")
-    theta, yj, zj = _solve_arm(geometry, pose, arm_index)
-    return ArmSolution(arm_index=arm_index, theta=theta, knee=(yj, zj))
-
-
 def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
     """Joint angles reaching the pose; raises Unreachable naming the arm."""
-    return JointAngles(
-        _solve_arm(geometry, pose, 1)[0],
-        _solve_arm(geometry, pose, 2)[0],
-        _solve_arm(geometry, pose, 3)[0],
-    )
+    thetas = []
+    for arm in (1, 2, 3):
+        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm,
+                                                math.sqrt, max)
+        if any(flags):
+            raise Unreachable(arm, REASONS[flags.index(True)])
+        thetas.append(math.atan2(sin_c, cos_c))
+    return JointAngles(*thetas)
 
 
 def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:

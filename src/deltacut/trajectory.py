@@ -73,47 +73,6 @@ class MachineLimits:
 
 
 @dataclass(frozen=True, slots=True)
-class MotionProfile:
-    """Trapezoidal (or triangular) speed profile over a fixed path length."""
-
-    length: float
-    accel: float
-    v_peak: float
-    t_accel: float
-    t_cruise: float
-    total_time: float
-
-
-def plan_profile(path_length: float, limits: MachineLimits, feed: float) -> MotionProfile:
-    """Profile a motion of the given length at the requested feed.
-
-    Raises InvalidFeed unless 0 < feed <= v_max; path_length must be
-    positive.
-    """
-    if not (math.isfinite(path_length) and path_length > 0.0):
-        raise ValueError(f"path_length must be positive, got {path_length!r}")
-    if not (math.isfinite(feed) and 0.0 < feed <= limits.v_max):
-        raise InvalidFeed(f"feed must satisfy 0 < feed <= {limits.v_max}, got {feed}")
-    a = limits.a_max
-    if feed * feed / a <= path_length:
-        # Trapezoid: accelerate to feed, cruise, decelerate.
-        v = feed
-        t_accel = v / a
-        t_cruise = (path_length - v * v / a) / v
-        total = path_length / v + v / a
-    else:
-        # Too short to reach the feed: triangular peak.
-        v = math.sqrt(a * path_length)
-        t_accel = math.sqrt(path_length / a)
-        t_cruise = 0.0
-        total = 2.0 * t_accel
-    return MotionProfile(
-        length=path_length, accel=a, v_peak=v,
-        t_accel=t_accel, t_cruise=t_cruise, total_time=total,
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class LineSegment:
     """Straight cut to the end point, in contour-plane coordinates (mm)."""
 
@@ -232,9 +191,26 @@ def build_motions(
 def _motion(rapid, laser_on, p0, p1, length, limits, feed, *arc) -> Motion:
     """The row of a move from p0 to p1; arc is _arc's centre, radius, start
     angle and sweep, or empty for a line."""
-    p = plan_profile(length, limits, feed)
-    return Motion(rapid, laser_on, bool(arc), p.length, p.accel, p.v_peak, p.t_accel,
-                  p.t_cruise, p.total_time, *p0, *p1, *arc)
+    return Motion(rapid, laser_on, bool(arc), *_profile(length, limits.a_max, feed),
+                  *p0, *p1, *arc)
+
+
+def _profile(length: float, a: float, feed: float) -> tuple[float, ...]:
+    """Trapezoidal (or, when too short to reach the feed, triangular) speed
+    profile of a move: length, accel, v_peak, t_accel, t_cruise, total_time.
+
+    The caller keeps 0 < feed <= v_max; length must be positive and finite.
+    """
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"path_length must be positive, got {length!r}")
+    if feed * feed / a <= length:
+        # Trapezoid: accelerate to feed, cruise, decelerate.
+        t_accel = feed / a
+        return (length, a, feed, t_accel, (length - feed * feed / a) / feed,
+                length / feed + feed / a)
+    # Triangle: the peak speed is reached at half the length.
+    t_accel = math.sqrt(length / a)
+    return length, a, math.sqrt(a * length), t_accel, 0.0, 2.0 * t_accel
 
 
 def _arc(p0, seg: ArcSegment) -> tuple[float, float, float, float, float, float]:

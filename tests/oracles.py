@@ -550,7 +550,7 @@ def _fmt(value: float) -> str:
 
 def read_stream_rows(path) -> SetpointStream:
     """read_stream_csv one csv.reader row at a time."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -191,6 +191,22 @@ def test_plan_past_the_float_range_is_a_usage_error(capsys, fixtures_dir, tmp_pa
         "ValueError: program end time overflows the float range at tick 1e+308 s")
 
 
+def test_plan_of_an_overflowing_segment_is_a_usage_error(capsys, fixtures_dir, tmp_path):
+    # The segment's length, 2e308 mm, overflows to inf.
+    program = tmp_path / "wide.json"
+    program.write_text(json.dumps({"contours": [{
+        "start": [-1e308, 0], "z_plane": -300,
+        "segments": [{"type": "line", "end": [1e308, 0]}]}]}))
+    out = tmp_path / "out.csv"
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(program), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        "ValueError: contour 0 segment 0: path_length must be positive, got inf")
+
+
 def test_simulate_nominal_and_faulted(capsys, fixtures_dir, tmp_path):
     stream = str(fixtures_dir / "line100_stream.csv")
     trace = tmp_path / "trace.txt"

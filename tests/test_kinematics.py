@@ -15,7 +15,7 @@ from deltacut import (
     forward_kinematics,
     inverse_kinematics,
     is_reachable,
-    solve_arm_angle,
+    kinematics,
 )
 
 
@@ -167,18 +167,10 @@ def test_fully_stretched_boundary(g0):
     assert not is_reachable(g0, Pose(0.0, 0.0, z_max * (1.0 + 1e-7)))
 
 
-def test_solve_arm_angle_validates_index(g0):
-    with pytest.raises(ValueError):
-        solve_arm_angle(g0, Pose(0.0, 0.0, -300.0), 0)
-    with pytest.raises(ValueError):
-        solve_arm_angle(g0, Pose(0.0, 0.0, -300.0), 4)
-
-
-def test_solve_arm_angle_reports_knee_on_upper_arm_circle(g0):
-    sol = solve_arm_angle(g0, Pose(20.0, -15.0, -320.0), 2)
-    ky, kz = sol.knee
+def test_arm_kernel_puts_the_knee_on_the_upper_arm_circle(g0):
+    flags, _, _, ky, kz = kinematics._arm_kernel(g0, 20.0, -15.0, -320.0, 2, math.sqrt, max)
+    assert not any(flags)
     assert abs(math.hypot(ky + g0.a, kz) - g0.r_f) < 1e-9
-    assert sol.arm_index == 2
 
 
 def test_is_reachable_matches_solver(g0):

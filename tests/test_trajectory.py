@@ -23,7 +23,6 @@ from deltacut import (
     UnreachableSample,
     build_motions,
     load_program,
-    plan_profile,
     plan_program,
     read_stream_csv,
     trajectory,
@@ -58,7 +57,7 @@ def test_limit_defaults():
 
 def test_trapezoid_profile_closed_form(g0):
     lim = MachineLimits()
-    prof = plan_profile(100.0, lim, 1000.0)
+    prof = build_motions(line_program(), lim)[0]
     assert prof.total_time == oracles.trapezoid_total_time(100.0, 1000.0, 23000.0)
     assert prof.v_peak == 1000.0
     assert prof.t_cruise > 0.0
@@ -74,7 +73,7 @@ def test_trapezoid_profile_closed_form(g0):
 
 def test_short_move_becomes_triangle(g0):
     lim = MachineLimits()
-    prof = plan_profile(10.0, lim, 1000.0)
+    prof = build_motions(line_program(length=10.0), lim)[0]
     assert prof.t_cruise == 0.0
     assert prof.v_peak == math.sqrt(23000.0 * 10.0)
     assert prof.total_time == 2.0 * math.sqrt(10.0 / 23000.0)
@@ -89,7 +88,7 @@ def test_profile_position_is_monotone(g0):
     for _ in range(50):
         length = float(rng.uniform(0.5, 400.0))
         feed = float(rng.uniform(5.0, 1000.0))
-        prof = plan_profile(length, MachineLimits(), feed)
+        prof = build_motions(line_program(feed, length), MachineLimits())[0]
         stream = plan_program(g0, line_program(feed, length),
                               MachineLimits(tick=prof.total_time / 256.0))
         ss = stream.poses[:, 0] + length / 2.0
@@ -101,13 +100,25 @@ def test_profile_position_is_monotone(g0):
 
 @pytest.mark.parametrize("feed", [0.0, -10.0, 1000.0001])
 def test_invalid_feeds_rejected(feed):
-    with pytest.raises(InvalidFeed):
-        plan_profile(50.0, MachineLimits(), feed)
+    if feed > 0.0:
+        with pytest.raises(InvalidFeed, match="exceeds v_max"):
+            build_motions(line_program(feed), MachineLimits())
+    else:
+        with pytest.raises(ValueError, match="feed must be positive"):
+            line_program(feed)
 
 
 def test_zero_length_profile_rejected():
-    with pytest.raises(ValueError):
-        plan_profile(0.0, MachineLimits(), 100.0)
+    with pytest.raises(ValueError, match="path_length"):
+        trajectory._profile(0.0, 23000.0, 100.0)
+
+
+def test_overflowing_segment_length_is_refused():
+    program = CutProgram(contours=(Contour(
+        start=(-1e308, 0.0), z_plane=-300.0, segments=(LineSegment(end=(1e308, 0.0)),)),))
+    with pytest.raises(ValueError) as info:
+        build_motions(program, MachineLimits())
+    assert str(info.value) == "contour 0 segment 0: path_length must be positive, got inf"
 
 
 def test_line_sample_count_and_endpoint(g0):
@@ -609,7 +620,9 @@ def test_stream_write_memory_is_bounded(tmp_path):
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 # float() and int() strip \x0b, \x0c, \x85, \u2028 and \u2029 but refuse
 # \x1c-\x1e; none of them ends a line, though str.splitlines() splits on all.
-ODD = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+# "\udcff" is written as the lone byte 0xFF, which is not UTF-8.
+ODD = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+                       "\udcff"])
 BAD_NUMBERS = st.sampled_from(["x", "", "1.5.2", "0x10", "1e", "--1", "1 2", "\x1c", "NaNx"])
 BAD_FLAGS = st.sampled_from(["2", "x", "01", "-1", "1.0", " 1 ", "", "9" * 25, "True", "0\x0c"])
 
@@ -669,7 +682,7 @@ def read_both(text, block_rows):
     """The oracle's and the block reader's outcomes on one file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "stream.csv")
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         want = outcome(oracles.read_stream_rows, path)
         with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", block_rows):
             got = outcome(read_stream_csv, path)
