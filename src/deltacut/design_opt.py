@@ -24,7 +24,6 @@ SeedSequence([seed, _BASELINE_STREAM]) and scores them in batches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import as_count, as_list, as_number, fields, json_text, read_json
 from .geometry import RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
-from .workspace import PAIR_BUDGET, PrescribedWorkspace, coverage, coverage_links  # noqa: F401
+from .workspace import PrescribedWorkspace, coverage, coverage_links  # noqa: F401
 
 INFEASIBLE_FITNESS = -1.0
 _BLEND_ALPHA = 0.1
@@ -269,24 +268,16 @@ def random_search(
     evaluations: int,
     size_penalty_weight: float,
     seed: int,
-) -> tuple[np.ndarray | None, float]:
+) -> tuple[np.ndarray, float]:
     """Equal-budget uniform baseline; returns (best genome, best fitness)."""
     as_count("evaluations", evaluations, 1)
     rng = np.random.default_rng(np.random.SeedSequence([_as_seed(seed), _BASELINE_STREAM]))
     # One draw of all rows gives the same stream as one draw per genome.
     genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(evaluations, 4))
-    batch = max(1, PAIR_BUDGET // len(prescribed))
-    best_genome = None
-    best_fit = -math.inf
-    for start in range(0, evaluations, batch):
-        fits = population_fitness(genomes[start:start + batch], prescribed,
-                                  size_penalty_weight, bounds)
-        # The first strict maximum wins, as if genomes were scored one by one.
-        i = int(fits.argmax())
-        if fits[i] > best_fit:
-            best_fit = float(fits[i])
-            best_genome = genomes[start + i].copy()
-    return best_genome, best_fit
+    fits = population_fitness(genomes, prescribed, size_penalty_weight, bounds)
+    # The first maximum wins, as if genomes were scored one by one.
+    i = int(fits.argmax())
+    return genomes[i].copy(), float(fits[i])
 
 
 def load_bounds(path: str | Path) -> DesignBounds:

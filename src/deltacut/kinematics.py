@@ -10,16 +10,15 @@ three forearm spheres after shifting their centres to the platform centroid.
 
 _arm_kernel is the only place that solves an arm.  Workspace scans call its
 first stage, _plane_cut, which reads only x and y, once per grid column to
-bound the column's reach in closed form.  The kernel runs on Python floats
-(with math.sqrt and max) or on numpy arrays (with np.sqrt and np.maximum),
-where the link values may be arrays too.  It has no branches: clamps are
-maxima, a flag is added or xor-ed in, and the elbow-out branch is a sign
-factor of +1 or -1.  Its decision path uses only +, -, *, /, sqrt,
-comparisons and maxima, all correctly rounded or exact in both modes, so
-scalar IK, workspace scans, batch planning and batch GA fitness reach
-bit-identical verdicts and knees.  Joint angles always come from math.atan2,
-also for arrays: np.arctan2 can differ by one ulp and would move the frozen
-streams.
+bound the column's reach in closed form.  The kernel runs in numpy alone, on
+Python floats as numpy scalars or on arrays, where the link values may be
+arrays too; scalar IK, workspace scans, batch planning and batch GA fitness
+run this one code path.  It has no branches: clamps are maxima, a flag is
+added or xor-ed in, and the elbow-out branch is a sign factor of +1 or -1.
+Joint angles always come from math.atan2, also for arrays: np.arctan2 can
+differ by one ulp and would move the frozen streams.  Knee angles within a
+few ulps of THETA_MIN or THETA_MAX count as folded, so a rounded atan2 never
+lands on a joint-range end.
 """
 
 from __future__ import annotations
@@ -40,6 +39,11 @@ ARM_SIN = (0.0, -_SQRT3_2, _SQRT3_2)
 # Discriminants within [-tol, 0] count as tangent so boundary poses do not
 # fail on rounding noise; tol scales with the squared forearm length.
 DISC_TOL_FRAC = 1e-12
+
+# Slack of the folded test, relative to the larger knee coordinate: an angle
+# within about 2^-48 rad of THETA_MIN or THETA_MAX (16 and 8 ulps) counts as
+# folded, so math.atan2, which rounds by under an ulp, never returns either.
+FOLD_SLACK = 2.0 ** -48
 
 # Relative rank tolerance for the forward-kinematics plane system.
 RANK_TOL = 1e-12
@@ -70,33 +74,37 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     return rc2 < -tol, rc2, x * s + y * c, tol
 
 
-def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, maximum):
+@np.errstate(over="ignore", invalid="ignore")
+def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int):
     """Solve one arm for world poses (x, y, z), scalars or arrays alike.
 
-    geometry supplies a, b, r_f and r_e: a RobotGeometry, or in array mode a
-    record of arrays, such as (m, 1) columns that broadcast m geometries.
+    geometry supplies a, b, r_f and r_e: a RobotGeometry, or a record of
+    arrays, such as (m, 1) columns that broadcast m geometries.
 
-    Returns (flags, sin_c, cos_c, knee_y, knee_z): flags holds one failure
-    flag per entry of REASONS, in check order; the rest is meaningful only
-    where no flag is set.  theta = atan2(sin_c, cos_c).
+    Returns (flags, sin_c, cos_c): flags holds one failure flag per entry of
+    REASONS, in check order; sin_c and cos_c are meaningful only where no
+    flag is set.  theta = atan2(sin_c, cos_c), and the knee sits at arm-frame
+    (y, z) = (-a - cos_c, -sin_c).  Overflow and the NaN
+    it leads to count as misses, silently; they arise with links of about
+    1e154 mm and up.
     """
     a, b, r_f = geometry.a, geometry.b, geometry.r_f
     plane_miss, rc2, yp, tol = _plane_cut(geometry, x, y, arm_index)
-    rc2 = maximum(rc2, 0.0)
+    rc2 = np.maximum(rc2, 0.0)
 
     # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (yp - b, z), radius
     # sqrt(rc2).  (dy, z) points from the pivot to the platform joint.
     dy = (yp - b) + a
     d2 = dy * dy + z * z
     coincident = d2 <= 0.0
-    d = sqrt(d2 + coincident)
+    d = np.sqrt(d2 + coincident)
 
     # Distance from the pivot to the chord along the centre line, and the
     # half-chord length.  An overflowed d2 makes t NaN, which counts as a miss.
     t = (d2 + r_f * r_f - rc2) / (2.0 * d)
     h2 = r_f * r_f - t * t
     knee_miss = (h2 >= -tol) ^ True
-    h = sqrt(maximum(h2, 0.0))
+    h = np.sqrt(np.maximum(h2, 0.0))
 
     uy = dy / d
     uz = z / d
@@ -105,26 +113,27 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int, sqrt, maximum)
     oy = -(h * uz)
     oz = h * uy
 
-    # Elbow-out branch: smaller knee y; on a y tie prefer the lower knee.
+    # Elbow-out branch: smaller knee y; on a y tie prefer the lower knee,
+    # which sits at (ky + sign * oy, kz + sign * oz).
     take_plus = (oy < 0.0) | ((oy == 0.0) & (oz <= 0.0))
     sign = 2.0 * take_plus - 1.0
-    yj = ky + sign * oy
-    zj = kz + sign * oz
 
     # theta measured from the horizontal, positive knee-down; the upper arm
-    # points from the pivot to the knee along (-cos, -sin).
-    sin_c = -zj
-    cos_c = -(yj + a)
-    folded = ((sin_c < 0.0) & (cos_c <= 0.0)) | ((sin_c == 0.0) & (cos_c < 0.0))
-    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c, yj, zj
+    # points from the pivot to the knee along (-cos, -sin).  Folded: the
+    # knee lies in the wedge from THETA_MAX round to THETA_MIN, each end
+    # widened by about FOLD_SLACK rad; the wedge is the meet of two
+    # half-planes and holds the pivot itself.
+    sin_c = -(kz + sign * oz)
+    cos_c = -((ky + sign * oy) + a)
+    folded = (cos_c <= -FOLD_SLACK * sin_c) & (sin_c <= -FOLD_SLACK * cos_c)
+    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c
 
 
 def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
     """Joint angles reaching the pose; raises Unreachable naming the arm."""
     thetas = []
     for arm in (1, 2, 3):
-        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm,
-                                                math.sqrt, max)
+        flags, sin_c, cos_c = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm)
         if any(flags):
             raise Unreachable(arm, REASONS[flags.index(True)])
         thetas.append(math.atan2(sin_c, cos_c))
@@ -133,20 +142,7 @@ def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
 
 def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
     """True when inverse kinematics succeeds for all three arms."""
-    try:
-        inverse_kinematics(geometry, pose)
-    except Unreachable:
-        return False
-    return True
-
-
-def _arm_many(geometry: RobotGeometry, x, y, z, arm_index: int):
-    """Array mode of _arm_kernel: (unreachable, sin_c, cos_c) per pose."""
-    # Overflow and the NaN it leads to count as misses, silently, as in
-    # scalar mode; they arise with links of about 1e154 mm and up.
-    with np.errstate(over="ignore", invalid="ignore"):
-        flags, sin_c, cos_c, _, _ = _arm_kernel(geometry, x, y, z, arm_index, np.sqrt, np.maximum)
-    return flags[0] | flags[1] | flags[2] | flags[3], sin_c, cos_c
+    return bool(reachable_mask(geometry, pose.x, pose.y, pose.z))
 
 
 def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
@@ -159,8 +155,8 @@ def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
         # glibc's default heap reuse their pages: 6.3 k against 9.9 k minor
         # faults, first 6 mm g0 scan in a process; 5.7 k against 5.5 k under
         # cli._keep_heap.
-        result = _arm_many(geometry, x, y, z, arm)
-        bad |= result[0]
+        flags, *kept = _arm_kernel(geometry, x, y, z, arm)
+        bad |= flags[0] | flags[1] | flags[2] | flags[3]
     return ~bad
 
 
@@ -174,8 +170,8 @@ def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
     joints = np.empty(points.shape, dtype=np.float64)
     bad = np.zeros(points.shape[0], dtype=bool)
     for arm in (1, 2, 3):
-        arm_bad, sin_c, cos_c = _arm_many(geometry, x, y, z, arm)
-        bad |= arm_bad
+        flags, sin_c, cos_c = _arm_kernel(geometry, x, y, z, arm)
+        bad |= flags[0] | flags[1] | flags[2] | flags[3]
         joints[:, arm - 1] = list(map(math.atan2, sin_c.tolist(), cos_c.tolist()))
     return joints, ~bad
 

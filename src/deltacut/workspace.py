@@ -2,11 +2,11 @@
 
 Reachability is always an exact per-point test; a grid only decides where
 the test runs (cell centres).  Coverage goes through kinematics.reachable_mask,
-the array mode of the one arm kernel that scalar inverse kinematics also
-uses.  A grid scan decides the interior of each column's reachable runs, and
-the cells far outside them, from closed-form z-bounds on the kernel's own
-first stage, kinematics._plane_cut; the kernel decides the bands about the
-run ends.  The bounds leave every cell within rounding of a verdict change to
+which runs the one arm kernel that scalar inverse kinematics also runs.  A
+grid scan decides the interior of each column's reachable runs, and the
+cells far outside them, from closed-form z-bounds on the kernel's own first
+stage, kinematics._plane_cut; the kernel decides the bands about the run
+ends.  The bounds leave every cell within rounding of a verdict change to
 the kernel, so a scan equals a kernel call on every cell bit for bit, and
 grid scans, coverage fractions and kinematics.is_reachable never disagree on
 a point.

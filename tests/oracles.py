@@ -756,5 +756,9 @@ def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
 
     sin_c = -zj
     cos_c = -(yj + a)
-    folded = ((sin_c < 0.0) & (cos_c <= 0.0)) | ((sin_c == 0.0) & (cos_c < 0.0))
-    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c, yj, zj
+    # Folded: at or below -pi/2, or at or above pi, each within 2^-48 rad,
+    # and the knee on the pivot.
+    slack = 2.0 ** -48
+    folded = select(sin_c < 0.0, cos_c <= -slack * sin_c,
+                    select(cos_c < 0.0, sin_c <= -slack * cos_c, (sin_c == 0.0) & (cos_c == 0.0)))
+    return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c

@@ -49,6 +49,13 @@ def test_ik_unreachable_exit_code(capsys, fixtures_dir):
     assert "arm 1" in err
 
 
+def test_ik_knee_at_the_joint_range_end_exits_as_unreachable(capsys, fixtures_dir):
+    code = app(["ik", "--geometry", str(fixtures_dir / "g0.json"),
+                "--", "0", "-279.6225223508825", "9.153741868772158"])
+    assert code == 1
+    assert "Unreachable: arm 2" in capsys.readouterr().err
+
+
 def test_fk_matches_library(capsys, fixtures_dir, g0):
     code = app(["fk", "--geometry", str(fixtures_dir / "g0.json"),
                 "0.3", "0.1", "0.2"])

@@ -15,6 +15,7 @@ from deltacut import (
     forward_kinematics,
     inverse_kinematics,
     is_reachable,
+    is_reachable_many,
     kinematics,
 )
 
@@ -125,6 +126,18 @@ def test_pose_behind_pivot_rejected_as_out_of_branch(g0):
         ik_tuple(g0, 0.0, -270.0, -50.0)
 
 
+def test_knee_angle_rounding_onto_the_joint_range_end_is_unreachable(g0):
+    # Arms 2 and 3 put the knee straight above the pivot within 1.4e-14 mm,
+    # where math.atan2 rounds exactly onto THETA_MIN.
+    pose = Pose(0.0, -279.6225223508825, 9.153741868772158)
+    with pytest.raises(Unreachable) as info:
+        inverse_kinematics(g0, pose)
+    assert info.value.arm_index == 2
+    assert str(info.value) == "arm 2: knee angle outside the canonical branch"
+    assert is_reachable(g0, pose) is False
+    assert is_reachable_many(g0, np.array([[pose.x, pose.y, pose.z]])).tolist() == [False]
+
+
 def test_mirror_symmetry_swaps_arms_two_and_three(g0):
     rng = np.random.default_rng(55)
     checked = 0
@@ -168,9 +181,10 @@ def test_fully_stretched_boundary(g0):
 
 
 def test_arm_kernel_puts_the_knee_on_the_upper_arm_circle(g0):
-    flags, _, _, ky, kz = kinematics._arm_kernel(g0, 20.0, -15.0, -320.0, 2, math.sqrt, max)
+    # The knee sits at arm-frame (y, z) = (-a - cos_c, -sin_c).
+    flags, sin_c, cos_c = kinematics._arm_kernel(g0, 20.0, -15.0, -320.0, 2)
     assert not any(flags)
-    assert abs(math.hypot(ky + g0.a, kz) - g0.r_f) < 1e-9
+    assert abs(math.hypot(cos_c, sin_c) - g0.r_f) < 1e-9
 
 
 def test_is_reachable_matches_solver(g0):
