@@ -188,7 +188,7 @@ def _draw_slots(rng: np.random.Generator, slots: int, cfg: GaConfig):
     no_blend = np.zeros(4)
     entrants, cross, blend, noise = [], [], [], []
     for _ in range(slots):
-        entrants.append(integers(0, pop_size, size=draw))
+        entrants.append(integers(pop_size, size=draw))
         coin = random() < rate
         cross.append(coin)
         blend.append(random(4) if coin else no_blend)

@@ -8,9 +8,16 @@ plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics intersects the
 three forearm spheres after shifting their centres to the platform centroid.
 
-_arm_kernel is the only place that solves an arm.  Workspace scans call its
-first stage, _plane_cut, which reads only x and y, once per grid column to
-bound the column's reach in closed form.  The kernel runs in numpy alone, on
+_arm_kernel is the only place that solves an arm.  Beside it sit the closed
+forms of an arm's reach, from its own first stage, _plane_cut, which reads
+only x and y: the knee circle meets the forearm circle where
+w^2 <= 4 d^2 (r_f^2 + tol), and below the base plane the knee folds inside
+the fold circle dy^2 + (z - r_f)^2 = rc2 when dy < 0.  _reach_verdict
+decides genome x point pairs by them, with no square root, and
+_arm_bounds solves them for z along a grid column.  Each decides only
+beyond a margin that covers its own rounding, the kernel's and the
+FOLD_SLACK wedge, so its verdicts are the kernel's own; the kernel decides
+the rest.  The kernel runs in numpy alone, on
 Python floats as numpy scalars or on arrays, where the link values may be
 arrays too; scalar IK, workspace scans, batch planning and batch GA fitness
 run this one code path.  It has no branches: clamps are maxima, a flag is
@@ -47,6 +54,20 @@ FOLD_SLACK = 2.0 ** -48
 
 # Relative rank tolerance for the forward-kinematics plane system.
 RANK_TOL = 1e-12
+
+# Relative rounding the closed forms allow for, on the squared scale of their
+# terms: thousands of ulps of every step of the closed forms and the kernel.
+_BOUND_ROUNDING = 1e-12
+
+# How far the kernel's knee may sit from the exact knee of its own rounded w
+# and d2, per mm of r_f and of the pivot offset a (see _reach_verdict).
+_KNEE_SLACK = 2.0 ** -24
+_PIVOT_SLACK = 2.0 ** -50
+
+# Links and |coordinates| the pair verdict decides lie in [_TINY, _HUGE], so
+# none of its steps or the kernel's overflows or loses precision to underflow.
+_HUGE = 2.0 ** 200
+_TINY = 2.0 ** -200
 
 # Unreachable reasons, in the order _arm_kernel returns its failure flags.
 REASONS = (
@@ -127,6 +148,125 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int):
     cos_c = -((ky + sign * oy) + a)
     folded = (cos_c <= -FOLD_SLACK * sin_c) & (sin_c <= -FOLD_SLACK * cos_c)
     return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _reach_verdict(geometry, x, y, z):
+    """The kernel's reachability of poses (x, y, z) below the base plane, in
+    closed form with no square root, where a margin proves it.
+
+    geometry is a record of (m, 1) link columns and x, y, z are (n,) arrays.
+    Returns (reached, missed), (m, n) masks of the pairs the kernel provably
+    finds reachable and unreachable; the pairs in neither are left to it.
+
+    Per arm, from the kernel's own floats, by its own steps (rc2, yp from
+    _plane_cut, dy = yp - b + a, d2 = dy^2 + z^2, w = d2 + r_f^2 - max(rc2, 0)),
+    its knee solves t = w / (2d), d^2 = d2, and for z < 0:
+
+    - knee circle: h2 = r_f^2 - t^2 >= -tol iff w^2 <= 4 d2 (r_f^2 + tol);
+    - fold circle: the knee is folded iff dy < 0 and
+      g = w - 2 r_f z = dy^2 + (z - r_f)^2 - rc2 < 0.
+
+    Margins.  A knee test decides only beyond a relative _BOUND_ROUNDING of
+    4 d2 r_f^2 or 4 d2 (r_f^2 + tol), hundreds of times the rounding of
+    d = sqrt(d2), t, t^2 and h2 in the kernel and of w^2 and d2 r_f^2 here;
+    t = w / (2d) keeps a relative error as d -> 0.  Past the lower one,
+    h2 > 0.  There the kernel's knee lies within B = _KNEE_SLACK r_f +
+    _PIVOT_SLACK |a| of the exact knee of w and d2: cancellation in h2 costs
+    8.3 ulps of r_f^2, so sqrt(8.3 ulp) r_f = 3.0e-8 r_f of h; the knee's
+    other steps cost 20 ulps of r_f and, through -a + ... + a, 3 of a; and
+    FOLD_SLACK widens the folded wedge by 3.6e-15 r_f.  A knee further than
+    B from both edges of the wedge gets the exact verdict.  The knee, at
+    angle delta from the upright edge, has |g| <= 4 d r_f |sin(delta / 2)|,
+    so g^2 > 9 B^2 d2 keeps it more than B off that edge (2.83 B would do;
+    the rest covers g's rounding).  It nears the level edge only as z / d
+    does, so z^2 > (B / r_f)^2 d2 keeps it off that one.  Both thresholds
+    take the call's largest B and, per point, a bound on d2 from |x|, |y|,
+    |z|, |a| and |b|, so they cost no pair-sized work.  Rows and points
+    outside [_TINY, _HUGE], and points at or above the base plane, are
+    decided only by the plane cut, which is the kernel's own test.
+    """
+    a, b, r_f, r_e = geometry.a, geometry.b, geometry.r_f, geometry.r_e
+    f2 = r_f * r_f
+    tol = DISC_TOL_FRAC * (r_e * r_e)
+    slack = _KNEE_SLACK * r_f + _PIVOT_SLACK * np.abs(a)
+    rows = ((np.abs(a) <= _HUGE) & (np.abs(b) <= _HUGE) & (r_e <= _HUGE)
+            & (_TINY <= r_f) & (r_f <= _HUGE))
+    # NaN constants leave a row to the kernel.
+    row_nan = np.where(rows, 1.0, np.nan)
+    knee_lo = 4.0 * f2 * (1.0 - _BOUND_ROUNDING) * row_nan
+    knee_hi = 4.0 * (f2 + tol) * (1.0 + _BOUND_ROUNDING) * row_nan
+    # Per point: d2 <= 2 (x^2 + y^2) + 2 (|a| + |b|)^2 + z^2 on every arm and
+    # row, by 1 % with rounding.
+    offsets = np.max(np.where(rows, np.abs(a) + np.abs(b), 0.0))
+    z2 = z * z
+    d2_max = (2.0 * (x * x + y * y) + 2.0 * (offsets * offsets) + z2) * 1.01
+    level = np.max(np.where(rows, slack / r_f, 0.0)) ** 2
+    points = ((-_HUGE <= z) & (z <= -_TINY) & (np.abs(x) <= _HUGE) & (np.abs(y) <= _HUGE)
+              & (z2 > level * d2_max))
+    fold_far = 9.0 * np.max(np.where(rows, slack, 0.0)) ** 2 * d2_max
+    # A NaN z leaves a point to the kernel, once its plane cut has passed.
+    z = np.where(points, z, np.nan)
+    z2 = z * z
+    r2z = (2.0 * r_f) * z
+    reached, missed = True, False
+    for arm in (1, 2, 3):
+        plane_miss, rc2, yp, _ = _plane_cut(geometry, x, y, arm)
+        dy = (yp - b) + a
+        d2 = dy * dy + z2
+        w = d2 + f2 - np.maximum(rc2, 0.0)
+        w2 = w * w
+        g = w - r2z
+        # A plane miss makes w = d2 + r_f^2, which fails the knee test.
+        sure = (w2 < d2 * knee_lo) & (g * g > fold_far)
+        folded = (dy < 0.0) & (g < 0.0)
+        reached = reached & (sure > folded)
+        missed = missed | plane_miss | (w2 > d2 * knee_hi) | (sure & folded)
+    return reached, missed
+
+
+def _signed_sqrt(v):
+    return np.copysign(np.sqrt(np.abs(v)), v)
+
+
+def _arm_bounds(geometry, rc2, yp, tol, scale2):
+    """One arm's reach along columns whose plane cut is rc2, yp (_plane_cut);
+    scale2 is the square of the scan's length scale.
+
+    The column-wise z-solve of _reach_verdict's two closed forms.  The kernel
+    reads z only through d^2 = dy^2 + z^2 and the sign of z.  Below the base
+    plane the arm reaches -z in [lo_neg, hi_neg], above it z in
+    [lo_pos, hi_pos]; a bound below zero means the interval reaches z = 0,
+    and lo > hi means it is empty.  err bounds the bounds' distance, in z,
+    from where the kernel's verdict changes.
+
+    - knee_miss: the knee circle of radius r_f about the pivot meets the
+      forearm circle, with the kernel's tolerance, where
+      (R - rc)^2 <= d^2 <= (R + rc)^2, R^2 = r_f^2 + tol, rc^2 = rc2 + tol.
+    - folded: the elbow-out knee lies at pivot angle phi - alpha below the
+      base plane and phi + alpha above it, phi the angle of (dy, z) and
+      cos(alpha) = t / r_f.  It enters the folded quadrant only through the
+      knee straight above the pivot, where dy^2 + (z - r_f)^2 = rc2: below
+      the plane, for dy < 0, inside that circle; above it, for dy > 0,
+      outside it.
+    """
+    r_f = geometry.r_f
+    rc2 = np.maximum(rc2, 0.0)
+    dy = (yp - geometry.b) + geometry.a
+    dy2 = dy * dy
+    big = math.sqrt(r_f * r_f + tol)
+    small = np.sqrt(rc2 + tol)
+    hi = _signed_sqrt((big + small) ** 2 - dy2)
+    lo = _signed_sqrt((big - small) ** 2 - dy2)
+    up = _signed_sqrt(rc2 - dy2)
+    with np.errstate(divide="ignore"):
+        # Flat where rc2 is near 0, so the margin there spans the column.
+        err = np.sqrt(_BOUND_ROUNDING * scale2 * (1.0 + scale2 / (r_f * np.sqrt(rc2))))
+    ahead = dy > 0.0
+    lo_neg = np.maximum(lo, up - r_f, out=lo.copy(), where=dy < 0.0)
+    hi_pos = np.minimum(hi, r_f + up, out=hi.copy(), where=ahead)
+    lo_pos = np.maximum(lo, r_f - up, out=lo, where=ahead)
+    return lo_neg, hi, lo_pos, hi_pos, err
 
 
 def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:

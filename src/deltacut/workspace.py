@@ -1,15 +1,18 @@
 """Reachable-workspace scans: dense boolean grids and point-set coverage.
 
 Reachability is always an exact per-point test; a grid only decides where
-the test runs (cell centres).  Coverage goes through kinematics.reachable_mask,
-which runs the one arm kernel that scalar inverse kinematics also runs.  A
-grid scan decides the interior of each column's reachable runs, and the
-cells far outside them, from closed-form z-bounds on the kernel's own first
-stage, kinematics._plane_cut; the kernel decides the bands about the run
-ends.  The bounds leave every cell within rounding of a verdict change to
-the kernel, so a scan equals a kernel call on every cell bit for bit, and
-grid scans, coverage fractions and kinematics.is_reachable never disagree on
-a point.
+the test runs (cell centres).  Both scans and coverage decide most points
+from the closed forms of an arm's reach in kinematics, and run the one arm
+kernel that scalar inverse kinematics also runs (kinematics.reachable_mask)
+only where those forms are within rounding of a verdict change.  A grid scan
+decides the interior of each column's reachable runs, and the cells far
+outside them, from closed-form z-bounds (kinematics._arm_bounds) on the
+kernel's own first stage, kinematics._plane_cut; the kernel decides the
+bands about the run ends.  Coverage decides each geometry x point pair by
+kinematics._reach_verdict and hands the kernel whole each block where the
+verdict leaves a pair open.  So a scan equals a kernel call on every cell bit for bit, coverage counts are
+the kernel's own, and grid scans, coverage fractions and
+kinematics.is_reachable never disagree on a point.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
-from .kinematics import _plane_cut, reachable_mask
+from .kinematics import _arm_bounds, _plane_cut, _reach_verdict, reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -38,11 +41,6 @@ PAIR_BUDGET = 32_768
 # scan tile bounds, so that the kernel's float64 temporaries stay a fixed
 # size whatever the grid; grid dumps are written in blocks of the same size.
 SLAB_CELLS = 262_144
-
-# Relative rounding the closed-form z-bounds allow for, on the squared scale
-# of a column's coordinates: thousands of ulps of every step of the bounds
-# and of the kernel, which compares knee and pivot terms of that scale.
-_BOUND_ROUNDING = 1e-12
 
 # |z| at or below which a cell runs the kernel: at z = 0 the kernel picks its
 # knee by neither side's closed form, and next to it z / d may underflow.
@@ -168,7 +166,8 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
     blocks _blocks gives for a single z layer.  Along each column every arm
     reaches one z-interval below the base plane and one above it, in closed
-    form (_arm_bounds), so the column's reachable cells are at most two runs.
+    form (kinematics._arm_bounds), so the column's reachable cells are at
+    most two runs.
     A cell further than a margin inside every arm's interval is True, and
     one further than the margin outside some arm's interval is False.  The
     margin is at least one cell and covers the rounding of the bounds and
@@ -235,49 +234,6 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
 
 
-def _signed_sqrt(v):
-    return np.copysign(np.sqrt(np.abs(v)), v)
-
-
-def _arm_bounds(geometry, rc2, yp, tol, scale2):
-    """One arm's reach along columns whose plane cut is rc2, yp (_plane_cut);
-    scale2 is the square of the scan's length scale.
-
-    The kernel reads z only through d^2 = dy^2 + z^2 and the sign of z.
-    Below the base plane the arm reaches -z in [lo_neg, hi_neg], above it z
-    in [lo_pos, hi_pos]; a bound below zero means the interval reaches
-    z = 0, and lo > hi means it is empty.  err bounds the bounds' distance,
-    in z, from where the kernel's verdict changes.
-
-    - knee_miss: the knee circle of radius r_f about the pivot meets the
-      forearm circle, with the kernel's tolerance, where
-      (R - rc)^2 <= d^2 <= (R + rc)^2, R^2 = r_f^2 + tol, rc^2 = rc2 + tol.
-    - folded: the elbow-out knee lies at pivot angle phi - alpha below the
-      base plane and phi + alpha above it, phi the angle of (dy, z) and
-      cos(alpha) = t / r_f.  It enters the folded quadrant only through the
-      knee straight above the pivot, where dy^2 + (z - r_f)^2 = rc2: below
-      the plane, for dy < 0, inside that circle; above it, for dy > 0,
-      outside it.
-    """
-    r_f = geometry.r_f
-    rc2 = np.maximum(rc2, 0.0)
-    dy = (yp - geometry.b) + geometry.a
-    dy2 = dy * dy
-    big = math.sqrt(r_f * r_f + tol)
-    small = np.sqrt(rc2 + tol)
-    hi = _signed_sqrt((big + small) ** 2 - dy2)
-    lo = _signed_sqrt((big - small) ** 2 - dy2)
-    up = _signed_sqrt(rc2 - dy2)
-    behind = dy < 0.0
-    ahead = dy > 0.0
-    with np.errstate(divide="ignore"):
-        # Flat where rc2 is near 0, so the margin there spans the column.
-        err = np.sqrt(_BOUND_ROUNDING * scale2 * (1.0 + scale2 / (r_f * np.sqrt(rc2))))
-    return (np.where(behind, np.maximum(lo, up - r_f), lo), hi,
-            np.where(ahead, np.maximum(lo, r_f - up), lo),
-            np.where(ahead, np.minimum(hi, r_f + up), hi), err)
-
-
 def _run_indices(z, lo, hi, margin, whole, first, stop):
     """Index bounds of the cells of z[first:stop] within a closed-form
     interval [lo, hi] of each column: the cells in [c0, c1) lie more than
@@ -328,7 +284,12 @@ def coverage(geometry: RobotGeometry, prescribed: PrescribedWorkspace) -> float:
 
 def coverage_links(links, prescribed: PrescribedWorkspace) -> np.ndarray:
     """coverage() of each row (a, b, r_f, r_e) of links, the link fields of
-    assemblable geometries, from kernel calls of at most PAIR_BUDGET pairs."""
+    assemblable geometries, in blocks of at most PAIR_BUDGET pairs.
+
+    kinematics._reach_verdict decides most geometry x point pairs in closed
+    form; a block where it leaves any pair open, as it does every pair of a
+    point at or above the base plane, goes to the kernel (reachable_mask)
+    whole.  So the counts are the kernel's own."""
     links = np.asarray(links, dtype=np.float64)
     pts = prescribed.points
     n = len(pts)
@@ -338,9 +299,11 @@ def coverage_links(links, prescribed: PrescribedWorkspace) -> np.ndarray:
     for i in range(0, len(links), rows):
         columns = _LinkColumns(*links[i:i + rows].T[:, :, None])
         for j in range(0, n, cols):
-            part = pts[j:j + cols]
-            mask = reachable_mask(columns, part[:, 0], part[:, 1], part[:, 2])
-            counts[i:i + rows] += mask.sum(axis=1)
+            x, y, z = pts[j:j + cols].T
+            reached, missed = _reach_verdict(columns, x, y, z)
+            if not (reached | missed).all():
+                reached = reachable_mask(columns, x, y, z)
+            counts[i:i + rows] += np.count_nonzero(reached, axis=1)
     return counts / n
 
 

@@ -38,6 +38,11 @@ arm_kernel_selects is the arm kernel as it ran with conditional selects:
 np.where on arrays and pick on Python floats, for every clamp, flag and
 elbow-out branch.  The package clamps with maxima, adds or xors the flags
 in and takes the branch as a sign factor of +1 or -1, with no selects.
+
+coverage_links_kernel is point-set coverage as it ran before the closed-form
+pair verdict: the kernel tests every geometry x point pair, in blocks of at
+most PAIR_BUDGET pairs.  The package decides most pairs in closed form and
+runs the kernel only on the pairs within the verdict's margin.
 """
 
 from __future__ import annotations
@@ -79,11 +84,13 @@ from deltacut.trajectory import (
     build_motions,
 )
 from deltacut.workspace import (
+    PAIR_BUDGET,
     SLAB_CELLS,
     GridSpec,
     PrescribedWorkspace,
     WorkspaceGrid,
     _blocks,
+    _LinkColumns,
     coverage,
 )
 
@@ -598,6 +605,24 @@ def fitness_per_genome(genomes, prescribed, size_penalty_weight, bounds) -> list
         penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
         fits.append(coverage(geometry, prescribed) - penalty)
     return fits
+
+
+def coverage_links_kernel(links, prescribed: PrescribedWorkspace) -> np.ndarray:
+    """coverage() of each row (a, b, r_f, r_e) of links, the link fields of
+    assemblable geometries, from kernel calls of at most PAIR_BUDGET pairs."""
+    links = np.asarray(links, dtype=np.float64)
+    pts = prescribed.points
+    n = len(pts)
+    rows = max(1, PAIR_BUDGET // n)
+    cols = min(n, PAIR_BUDGET)
+    counts = np.zeros(len(links), dtype=np.int64)
+    for i in range(0, len(links), rows):
+        columns = _LinkColumns(*links[i:i + rows].T[:, :, None])
+        for j in range(0, n, cols):
+            part = pts[j:j + cols]
+            mask = reachable_mask(columns, part[:, 0], part[:, 1], part[:, 2])
+            counts[i:i + rows] += mask.sum(axis=1)
+    return counts / n
 
 
 def _rank(fits: np.ndarray) -> list[int]:

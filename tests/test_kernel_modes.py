@@ -48,6 +48,7 @@ from deltacut import (
 from deltacut import design_opt, kinematics, workspace
 from deltacut.design_opt import population_fitness
 from deltacut.kinematics import _arm_kernel, inverse_kinematics_many, reachable_mask
+import oracles
 from oracles import arm_kernel_selects, pick, scan_live_columns
 
 G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
@@ -508,3 +509,146 @@ def test_random_search_keeps_the_first_best_genome(evaluations, points, weight, 
         genome, fit = random_search(BOUNDS, prescribed, evaluations, weight, seed)
     assert bits(genome) == bits(want_genome)
     assert bits([fit]) == bits([want_fit])
+
+
+def test_coverage_of_interior_points_runs_no_kernel():
+    # Every recovery point lies well inside g0's reach, so the closed-form
+    # verdict decides all 600 arm x point pairs.
+    calls = []
+
+    def spy(geometry, x, y, z):
+        calls.append(len(x))
+        return reachable_mask(geometry, x, y, z)
+
+    prescribed = PrescribedWorkspace(points=np.array(RECOVERY))
+    with mock.patch.object(workspace, "reachable_mask", spy):
+        assert workspace.coverage(G0, prescribed) == 1.0
+    assert calls == []
+
+
+def nudged(value, steps):
+    """value moved by steps ulps, steps of either sign."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+def kernel_edge(links, arm, point, axis):
+    """point with its coordinate on axis moved to where one arm's kernel
+    verdict flips near it, to within an ulp; unmoved if none flips within
+    1e-3 of the arm's scale."""
+    point = list(point)
+
+    def misses(value):
+        point[axis] = value
+        return any(_arm_kernel(links, *point, arm)[0])
+
+    start = point[axis]
+    scale = abs(start) + links.r_f + links.r_e + abs(links.a - links.b)
+    for step in (1e-12, 1e-9, 1e-6, 1e-3):
+        lo, hi = start - step * scale, start + step * scale
+        side = misses(lo)
+        if side != misses(hi):
+            while (mid := (lo + hi) / 2.0) not in (lo, hi):
+                if misses(mid) == side:
+                    lo = mid
+                else:
+                    hi = mid
+            start = lo
+            break
+    point[axis] = start
+    return point
+
+
+@st.composite
+def boundary_cases(draw, links):
+    """An arm-frame pose (xp, dy, z) on or near a boundary of the pair
+    verdict for the links: knee tangency outside or inside, exact or at the
+    kernel's tolerance (h2 = 0 or -tol), the fold circle
+    dy^2 + (z - r_f)^2 = rc2, the plane-cut strip edge rc2 = +-tol, the base
+    plane z = 0, the pivot d2 = 0, or either edge of the FOLD_SLACK wedge."""
+    a, b, r_f, r_e = links
+    tol = kinematics.DISC_TOL_FRAC * r_e * r_e
+    kind = draw(st.sampled_from(["outer", "inner", "outer_tol", "inner_tol", "fold", "strip",
+                                 "level", "pivot", "wedge_level", "wedge_up"]))
+    xp = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0).map(lambda s: s * r_e)))
+    if kind == "strip":
+        xp = math.sqrt(max(r_e * r_e + draw(st.sampled_from([-2, -1, 0, 1, 2])) * tol, 0.0))
+    rc = math.sqrt(max(r_e * r_e - xp * xp, 0.0))
+    below = draw(st.floats(-math.pi, 0.0, exclude_min=True, exclude_max=True))
+    slack = kinematics.FOLD_SLACK * draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+    if kind in ("outer", "inner", "outer_tol", "inner_tol", "wedge_level"):
+        # The knee test passes where |R - rc_t| <= d <= R + rc_t (_arm_bounds).
+        big, small = (math.hypot(r_f, math.sqrt(tol)), math.sqrt(rc * rc + tol)) \
+            if kind.endswith("_tol") else (r_f, rc)
+        d = abs(small - big) if kind.startswith("inner") else big + small
+        phi = slack if kind == "wedge_level" else below
+        dy, z = d * math.cos(phi), d * math.sin(phi)
+    elif kind == "fold":
+        dy, z = rc * math.cos(below), r_f + rc * math.sin(below)
+    elif kind == "wedge_up":
+        # The knee straight above the pivot, turned by about FOLD_SLACK.
+        psi = math.pi / 2 + slack
+        dy = r_f * math.cos(psi) + rc * math.cos(below)
+        z = r_f * math.sin(psi) + rc * math.sin(below)
+    elif kind == "pivot":
+        dy, z = 0.0, 0.0
+    elif kind == "level":
+        dy = draw(st.floats(-1.0, 1.0)) * (r_f + rc)
+        z = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, -1e-200, 1e-200]))
+    else:
+        dy = draw(st.floats(-1.0, 1.0)) * (r_f + rc)
+        z = draw(st.floats(-1.0, 0.0)) * (r_f + rc)
+    return xp, dy, z
+
+
+@st.composite
+def verdict_cases(draw):
+    """Rows of links, and world poses about the boundaries of the first
+    row's arms, often moved onto the kernel's own verdict edge, each with
+    neighbours a few ulps away along one axis."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        links = [draw(small_link) for _ in range(4)]
+        if draw(st.integers(0, 4)) == 0:
+            for i in draw(st.sets(st.integers(0, 3), min_size=1)):
+                links[i] = draw(st.one_of(huge_link, st.floats(1e149, 1e151),
+                                          st.just(1e150)))
+        rows.append(Links(*links))
+    a, b = rows[0].a, rows[0].b
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        xp, dy, z = draw(boundary_cases(rows[0]))
+        arm = draw(st.sampled_from([1, 2, 3]))
+        c, s = kinematics.ARM_COS[arm - 1], kinematics.ARM_SIN[arm - 1]
+        yp = (dy + b) - a
+        axis = draw(st.integers(0, 2))
+        edge = [xp * c + yp * s, yp * c - xp * s, z]
+        if not np.isfinite(edge).all():
+            continue
+        if draw(st.integers(0, 3)):
+            edge = kernel_edge(rows[0], arm, edge, axis)
+        for steps in range(-3, 5):
+            p = list(edge)
+            p[axis] = nudged(p[axis], steps)
+            points.append(p)
+    assume(points and np.isfinite(points).all())
+    return np.array(rows), np.array(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=verdict_cases(), budget=budgets)
+def test_pair_verdict_equals_the_kernel_on_every_boundary(case, budget):
+    links, points = case
+    prescribed = PrescribedWorkspace(points=points)
+    with mock.patch.object(workspace, "PAIR_BUDGET", budget):
+        got = workspace.coverage_links(links, prescribed)
+    want = oracles.coverage_links_kernel(links, prescribed)
+    assert bits(got) == bits(want)
+    # Each decided pair carries the kernel's own verdict.
+    columns = Links(*links.T[:, :, None])
+    reached, missed = kinematics._reach_verdict(columns, *points.T)
+    kernel = reachable_mask(columns, *points.T)
+    assert not (reached & ~kernel).any()
+    assert not (missed & kernel).any()
