@@ -15,15 +15,9 @@ import sys
 import time
 
 from . import control_sim, design_opt, trajectory, workspace
-from .errors import DomainError
+from .errors import DomainError, write_json
 from .geometry import JointAngles, Pose, load_geometry
 from .kinematics import forward_kinematics, inverse_kinematics
-
-_UNITS_EPILOG = (
-    "Units: lengths in mm, angles in rad, times in s. "
-    "Machine limit defaults: v_max 1000 mm/s, a_max 23000 mm/s^2, "
-    "tick 0.0025 s."
-)
 
 
 def _keep_heap() -> None:
@@ -47,17 +41,23 @@ def _note(text: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    limits = trajectory.MachineLimits()
+    epilog = (
+        "Units: lengths in mm, angles in rad, times in s. "
+        f"Machine limit defaults: v_max {limits.v_max:g} mm/s, "
+        f"a_max {limits.a_max:g} mm/s^2, tick {limits.tick:g} s."
+    )
     parser = argparse.ArgumentParser(
         prog="deltacut",
         description="Delta robot kinematics, workspace sizing and cut planning.",
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "ik", help="solve joint angles for a pose",
         description="Print theta1 theta2 theta3 (rad) for an effector pose (mm).",
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("x", type=float, help="effector x (mm)")
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fk", help="solve the pose for joint angles",
         description="Print x y z (mm) for joint angles theta1 theta2 theta3 (rad).",
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("theta1", type=float, help="arm 1 angle (rad)")
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Evaluate reachability on a cell-centre grid and write a text "
             "occupancy dump. Prints cells=, total=, volume= (mm^3) on stdout."
         ),
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("--out", required=True, help="grid dump output file")
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run the genetic algorithm against a prescribed point set and "
             "write the result JSON. Same inputs give a byte-identical file."
         ),
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--bounds", required=True, help="gene bounds JSON file")
     p.add_argument("--prescribed", required=True, help="prescribed points JSON file")
@@ -117,17 +117,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "Sample a cut program on the controller tick and write the "
             "t,x,y,z,theta1,theta2,theta3,laser CSV."
         ),
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--geometry", required=True, help="geometry JSON file")
     p.add_argument("--program", required=True, help="cut program JSON file")
     p.add_argument("--out", required=True, help="stream CSV output file")
-    p.add_argument("--v-max", type=float, default=1000.0,
-                   help="speed limit in mm/s (default 1000 = 60 m/min)")
-    p.add_argument("--a-max", type=float, default=23000.0,
-                   help="acceleration limit in mm/s^2 (default 23000 = 23 m/s^2)")
-    p.add_argument("--tick", type=float, default=0.0025,
-                   help="control period in s (default 0.0025 = 2.5 ms)")
+    p.add_argument("--v-max", type=float, default=limits.v_max,
+                   help="speed limit in mm/s (default %(default)g)")
+    p.add_argument("--a-max", type=float, default=limits.a_max,
+                   help="acceleration limit in mm/s^2 (default %(default)g)")
+    p.add_argument("--tick", type=float, default=limits.tick,
+                   help="control period in s (default %(default)g)")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser(
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run a setpoint stream tick by tick with pulse monitoring and "
             "write the event trace. Exits 0 only if the run completes."
         ),
-        epilog=_UNITS_EPILOG,
+        epilog=epilog,
     )
     p.add_argument("--stream", required=True, help="stream CSV file (plan output)")
     p.add_argument("--config", default=None,
@@ -203,8 +203,7 @@ def _cmd_optimize(args) -> int:
     result = design_opt.run_ga(bounds, prescribed, config)
     _note(f"GA took {time.perf_counter() - t0:.3f} s "
           f"({result.evaluations} evaluations)")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.to_json())
+    write_json(result.to_dict(), args.out)
     _note(f"result written to {args.out}")
     print(f"best_fitness={_fmt(result.best_fitness)}")
     if result.best is not None:

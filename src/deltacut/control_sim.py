@@ -324,7 +324,10 @@ def read_trace(path: str | Path) -> tuple[TraceEvent, ...]:
                 try:
                     tick = int(parts[0])
                 except ValueError:
-                    raise ValueError("bad tick") from None
+                    tick = None
+                # Only the ticks to_line writes: no sign, padding, zeros or _.
+                if str(tick) != parts[0]:
+                    raise ValueError("bad tick")
                 events.append(TraceEvent(tick, parts[1], parts[2], parts[3]))
     return tuple(events)
 

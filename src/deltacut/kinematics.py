@@ -8,24 +8,23 @@ plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics intersects the
 three forearm spheres after shifting their centres to the platform centroid.
 
-_arm_kernel is the only place that solves an arm.  Beside it sit the closed
-forms of an arm's reach, from its own first stage, _plane_cut, which reads
-only x and y: the knee circle meets the forearm circle where
-w^2 <= 4 d^2 (r_f^2 + tol), and below the base plane the knee folds inside
-the fold circle dy^2 + (z - r_f)^2 = rc2 when dy < 0.  _reach_verdict
-decides genome x point pairs by them, with no square root, and
-_arm_bounds solves them for z along a grid column.  Each decides only
-beyond a margin that covers its own rounding, the kernel's and the
-FOLD_SLACK wedge, so its verdicts are the kernel's own; the kernel decides
-the rest.  The kernel runs in numpy alone, on
-Python floats as numpy scalars or on arrays, where the link values may be
-arrays too; scalar IK, workspace scans, batch planning and batch GA fitness
-run this one code path.  It has no branches: clamps are maxima, a flag is
-added or xor-ed in, and the elbow-out branch is a sign factor of +1 or -1.
-Joint angles always come from math.atan2, also for arrays: np.arctan2 can
-differ by one ulp and would move the frozen streams.  Knee angles within a
-few ulps of THETA_MIN or THETA_MAX count as folded, so a rounded atan2 never
-lands on a joint-range end.
+_arm_kernel is the only place that solves an arm.  Its first stage,
+_plane_cut, reads only x and y; the closed forms of an arm's reach below the
+base plane read its floats too: the knee circle meets the forearm circle
+where w^2 <= 4 d^2 (r_f^2 + tol), and the knee folds inside the fold circle
+dy^2 + (z - r_f)^2 = rc2 when dy < 0.  _reach_verdict decides genome x point
+pairs by them, with no square root, and _arm_bounds solves them for z along
+a grid column.  Each decides only below the base plane and beyond a margin
+that covers its own rounding, the kernel's and the FOLD_SLACK wedge, so its
+verdicts are the kernel's own; the kernel decides the rest.  The kernel runs
+in numpy alone, on Python floats as numpy scalars or on arrays, where the
+link values may be arrays too; scalar IK, workspace scans, batch planning
+and batch GA fitness run this one code path.  It has no branches: clamps
+are maxima, a flag is added or xor-ed in, and the elbow-out branch is a sign
+factor of +1 or -1.  Joint angles always come from math.atan2, also for
+arrays: np.arctan2 can differ by one ulp and would move the frozen streams.
+Knee angles within a few ulps of THETA_MIN or THETA_MAX count as folded, so
+a rounded atan2 never lands on a joint-range end.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     """The first stage of _arm_kernel, which reads only x and y.
 
     The forearm sphere cut by the arm plane x = 0 is a circle of squared
-    radius rc2 about the projected platform joint at arm-frame y = yp.
-    Returns (plane_miss, rc2, yp, tol): plane_miss flags where rc2 is below
-    the tangent tolerance tol, so the circle is empty.
+    radius rc2, clamped at 0, about the projected platform joint, dy along y
+    from the pivot.  Returns (plane_miss, rc2, dy, tol): plane_miss flags
+    where rc2 is below the tangent tolerance tol, so the circle is empty.
     """
     r_e = geometry.r_e
     tol = DISC_TOL_FRAC * (r_e * r_e)
@@ -92,7 +91,8 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     s = ARM_SIN[arm_index - 1]
     xp = x * c - y * s
     rc2 = r_e * r_e - xp * xp
-    return rc2 < -tol, rc2, x * s + y * c, tol
+    dy = (x * s + y * c - geometry.b) + geometry.a
+    return rc2 < -tol, np.maximum(rc2, 0.0), dy, tol
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -109,13 +109,11 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int):
     it leads to count as misses, silently; they arise with links of about
     1e154 mm and up.
     """
-    a, b, r_f = geometry.a, geometry.b, geometry.r_f
-    plane_miss, rc2, yp, tol = _plane_cut(geometry, x, y, arm_index)
-    rc2 = np.maximum(rc2, 0.0)
+    a, r_f = geometry.a, geometry.r_f
+    plane_miss, rc2, dy, tol = _plane_cut(geometry, x, y, arm_index)
 
-    # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (yp - b, z), radius
+    # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (dy - a, z), radius
     # sqrt(rc2).  (dy, z) points from the pivot to the platform joint.
-    dy = (yp - b) + a
     d2 = dy * dy + z * z
     coincident = d2 <= 0.0
     d = np.sqrt(d2 + coincident)
@@ -159,9 +157,9 @@ def _reach_verdict(geometry, x, y, z):
     Returns (reached, missed), (m, n) masks of the pairs the kernel provably
     finds reachable and unreachable; the pairs in neither are left to it.
 
-    Per arm, from the kernel's own floats, by its own steps (rc2, yp from
-    _plane_cut, dy = yp - b + a, d2 = dy^2 + z^2, w = d2 + r_f^2 - max(rc2, 0)),
-    its knee solves t = w / (2d), d^2 = d2, and for z < 0:
+    Per arm, from the kernel's own floats, by its own steps (rc2 and dy
+    from _plane_cut, d2 = dy^2 + z^2, w = d2 + r_f^2 - rc2), its knee solves
+    t = w / (2d), d^2 = d2, and for z < 0:
 
     - knee circle: h2 = r_f^2 - t^2 >= -tol iff w^2 <= 4 d2 (r_f^2 + tol);
     - fold circle: the knee is folded iff dy < 0 and
@@ -211,10 +209,9 @@ def _reach_verdict(geometry, x, y, z):
     r2z = (2.0 * r_f) * z
     reached, missed = True, False
     for arm in (1, 2, 3):
-        plane_miss, rc2, yp, _ = _plane_cut(geometry, x, y, arm)
-        dy = (yp - b) + a
+        plane_miss, rc2, dy, _ = _plane_cut(geometry, x, y, arm)
         d2 = dy * dy + z2
-        w = d2 + f2 - np.maximum(rc2, 0.0)
+        w = d2 + f2 - rc2
         w2 = w * w
         g = w - r2z
         # A plane miss makes w = d2 + r_f^2, which fails the knee test.
@@ -229,30 +226,25 @@ def _signed_sqrt(v):
     return np.copysign(np.sqrt(np.abs(v)), v)
 
 
-def _arm_bounds(geometry, rc2, yp, tol, scale2):
-    """One arm's reach along columns whose plane cut is rc2, yp (_plane_cut);
-    scale2 is the square of the scan's length scale.
+def _arm_bounds(geometry, rc2, dy, tol, scale2):
+    """One arm's reach below the base plane along columns whose plane cut is
+    rc2, dy, tol (_plane_cut); scale2 is the scan's length scale squared.
 
     The column-wise z-solve of _reach_verdict's two closed forms.  The kernel
     reads z only through d^2 = dy^2 + z^2 and the sign of z.  Below the base
-    plane the arm reaches -z in [lo_neg, hi_neg], above it z in
-    [lo_pos, hi_pos]; a bound below zero means the interval reaches z = 0,
-    and lo > hi means it is empty.  err bounds the bounds' distance, in z,
-    from where the kernel's verdict changes.
+    plane the arm reaches -z in [lo, hi]; a negative lo means the interval
+    reaches z = 0, and lo > hi means it is empty.  err bounds the bounds'
+    distance, in z, from where the kernel's verdict changes.
 
     - knee_miss: the knee circle of radius r_f about the pivot meets the
       forearm circle, with the kernel's tolerance, where
       (R - rc)^2 <= d^2 <= (R + rc)^2, R^2 = r_f^2 + tol, rc^2 = rc2 + tol.
-    - folded: the elbow-out knee lies at pivot angle phi - alpha below the
-      base plane and phi + alpha above it, phi the angle of (dy, z) and
-      cos(alpha) = t / r_f.  It enters the folded quadrant only through the
-      knee straight above the pivot, where dy^2 + (z - r_f)^2 = rc2: below
-      the plane, for dy < 0, inside that circle; above it, for dy > 0,
-      outside it.
+    - folded: the elbow-out knee lies at pivot angle phi - alpha, phi the
+      angle of (dy, z) and cos(alpha) = t / r_f.  It enters the folded
+      quadrant only through the knee straight above the pivot, so it is
+      folded for dy < 0 inside the circle dy^2 + (z - r_f)^2 = rc2.
     """
     r_f = geometry.r_f
-    rc2 = np.maximum(rc2, 0.0)
-    dy = (yp - geometry.b) + geometry.a
     dy2 = dy * dy
     big = math.sqrt(r_f * r_f + tol)
     small = np.sqrt(rc2 + tol)
@@ -262,11 +254,8 @@ def _arm_bounds(geometry, rc2, yp, tol, scale2):
     with np.errstate(divide="ignore"):
         # Flat where rc2 is near 0, so the margin there spans the column.
         err = np.sqrt(_BOUND_ROUNDING * scale2 * (1.0 + scale2 / (r_f * np.sqrt(rc2))))
-    ahead = dy > 0.0
-    lo_neg = np.maximum(lo, up - r_f, out=lo.copy(), where=dy < 0.0)
-    hi_pos = np.minimum(hi, r_f + up, out=hi.copy(), where=ahead)
-    lo_pos = np.maximum(lo, r_f - up, out=lo, where=ahead)
-    return lo_neg, hi, lo_pos, hi_pos, err
+    np.maximum(lo, up - r_f, out=lo, where=dy < 0.0)
+    return lo, hi, err
 
 
 def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:

@@ -2,17 +2,18 @@
 
 Reachability is always an exact per-point test; a grid only decides where
 the test runs (cell centres).  Both scans and coverage decide most points
-from the closed forms of an arm's reach in kinematics, and run the one arm
-kernel that scalar inverse kinematics also runs (kinematics.reachable_mask)
-only where those forms are within rounding of a verdict change.  A grid scan
-decides the interior of each column's reachable runs, and the cells far
-outside them, from closed-form z-bounds (kinematics._arm_bounds) on the
-kernel's own first stage, kinematics._plane_cut; the kernel decides the
-bands about the run ends.  Coverage decides each geometry x point pair by
+below the base plane from the closed forms of an arm's reach in kinematics,
+and run the one arm kernel that scalar inverse kinematics also runs
+(kinematics.reachable_mask) on the points at or above the plane and where
+those forms are within rounding of a verdict change.  A grid scan decides
+the interior of each column's reachable run, and the cells far outside it,
+from closed-form z-bounds (kinematics._arm_bounds) on the kernel's own first
+stage, kinematics._plane_cut; the kernel decides the bands about the run
+ends.  Coverage decides each geometry x point pair by
 kinematics._reach_verdict and hands the kernel whole each block where the
-verdict leaves a pair open.  So a scan equals a kernel call on every cell bit for bit, coverage counts are
-the kernel's own, and grid scans, coverage fractions and
-kinematics.is_reachable never disagree on a point.
+verdict leaves a pair open.  So a scan equals a kernel call on every cell
+bit for bit, coverage counts are the kernel's own, and grid scans, coverage
+fractions and kinematics.is_reachable never disagree on a point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
-from .kinematics import _arm_bounds, _plane_cut, _reach_verdict, reachable_mask
+from .kinematics import _TINY, _arm_bounds, _plane_cut, _reach_verdict, reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -41,10 +42,6 @@ PAIR_BUDGET = 32_768
 # scan tile bounds, so that the kernel's float64 temporaries stay a fixed
 # size whatever the grid; grid dumps are written in blocks of the same size.
 SLAB_CELLS = 262_144
-
-# |z| at or below which a cell runs the kernel: at z = 0 the kernel picks its
-# knee by neither side's closed form, and next to it z / d may underflow.
-_Z_EPS = 1e-100
 
 # The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
 _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
@@ -165,18 +162,18 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
 
     The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
     blocks _blocks gives for a single z layer.  Along each column every arm
-    reaches one z-interval below the base plane and one above it, in closed
-    form (kinematics._arm_bounds), so the column's reachable cells are at
-    most two runs.
-    A cell further than a margin inside every arm's interval is True, and
-    one further than the margin outside some arm's interval is False.  The
-    margin is at least one cell and covers the rounding of the bounds and
-    of the kernel, so those verdicts are the kernel's own.  The kernel
-    decides the cells left, the bands about the run ends and any cell at
-    z = 0, in blocks of at most SLAB_CELLS cells; a column whose margin is
-    not finite, near a tangent plane cut, runs through it whole.  The flags
-    therefore equal a kernel call on every cell bit for bit, and peak memory
-    is the occupancy plus a fixed tile's temporaries.
+    reaches one z-interval below the base plane, in closed form
+    (kinematics._arm_bounds), so the column's reachable cells below the
+    plane are at most one run.  A cell below z = -kinematics._TINY further
+    than a margin inside every arm's interval is True, and one further than
+    the margin outside some arm's interval is False.  The margin is at least
+    one cell and covers the rounding of the bounds and of the kernel, so
+    those verdicts are the kernel's own.  The kernel decides the cells left,
+    the bands about the run ends and every cell from z = -_TINY up, in
+    blocks of at most SLAB_CELLS cells; a column whose margin is not finite,
+    near a tangent plane cut, runs through it whole.  The flags therefore
+    equal a kernel call on every cell bit for bit, and peak memory is the
+    occupancy plus a fixed tile's temporaries.
     """
     nx, ny, nz = spec.dims
     x = spec.axis_centers("x")
@@ -186,9 +183,8 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     # Runs are written as +1 at their first cell and -1 after their last,
     # then summed along z in place.
     diff = occupancy.view(np.int8)
-    # Cells at z = 0 lie between the two closed forms; the kernel decides them.
-    below = int(np.searchsorted(z, -_Z_EPS, "left"))
-    above = int(np.searchsorted(z, _Z_EPS, "right"))
+    # The closed forms decide only cells below the base plane; the kernel the rest.
+    below = int(np.searchsorted(z, -_TINY, "left"))
     # Link lengths, offsets and the largest |coordinate| the kernel meets
     # bound the terms it rounds.
     extent = (geometry.r_f + geometry.r_e + abs(geometry.a) + abs(geometry.b)
@@ -201,49 +197,43 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
             continue
         xl = xt[iy, ix]
         yl = yt[iy, ix]
-        per_arm = zip(*[_arm_bounds(geometry, rc2[iy, ix], yp[iy, ix], tol, extent * extent)
-                        for _, rc2, yp, tol in cuts])
+        per_arm = zip(*[_arm_bounds(geometry, rc2[iy, ix], dy[iy, ix], tol, extent * extent)
+                        for _, rc2, dy, tol in cuts])
         del cuts
-        # Every arm must reach a cell: the intervals intersect.
-        lo_neg, hi_neg, lo_pos, hi_pos, err = (
-            functools.reduce(op, arms) for op, arms in zip(
-                (np.maximum, np.minimum, np.maximum, np.minimum, np.maximum), per_arm))
+        # Every arm must reach a cell: the intervals intersect, -z in [lo, hi].
+        lo, hi, err = (functools.reduce(op, arms)
+                       for op, arms in zip((np.maximum, np.minimum, np.maximum), per_arm))
         margin = np.maximum(err, spec.resolution)
-        whole = ~np.isfinite(lo_neg + hi_neg + lo_pos + hi_pos + margin)
-        # Below: -z in [lo_neg, hi_neg]; above: z in [lo_pos, hi_pos].
-        runs = (_run_indices(z, -hi_neg, -lo_neg, margin, whole, 0, below)
-                + _run_indices(z, lo_pos, hi_pos, margin, whole, above, nz))
+        whole = ~np.isfinite(lo + hi + margin)
+        u0, c0, c1, u1 = _run_indices(z, -hi, -lo, margin, whole, below)
         tile = diff[:, ys, xs]
-        for u0, c0, c1, u1 in (runs[:4], runs[4:]):
-            has = c0 < c1
-            tile[c0[has], iy[has], ix[has]] += 1
-            has &= c1 < nz
-            tile[c1[has], iy[has], ix[has]] -= 1
+        has = c0 < c1
+        tile[c0[has], iy[has], ix[has]] += 1
+        has &= c1 < nz
+        tile[c1[has], iy[has], ix[has]] -= 1
         for k in range(1, nz):
             np.add(tile[k], tile[k - 1], out=tile[k])
-        # Cells the closed forms leave undecided: [u0, c0) and [c1, u1) on
-        # each side, and the cells at z = 0.
-        u0n, c0n, c1n, u1n, u0p, c0p, c1p, u1p = runs
-        mid = np.full_like(u0n, below)
-        starts = np.concatenate((u0n, c1n, mid, u0p, c1p))
-        stops = np.concatenate((c0n, u1n, mid + (above - below), c0p, u1p))
-        column = np.tile(np.arange(iy.size), 5)
+        # Cells the closed forms leave undecided: [u0, c0), [c1, u1) and
+        # [below, nz), every cell from z = -_TINY up.
+        starts = np.concatenate((u0, c1, np.full_like(u0, below)))
+        stops = np.concatenate((c0, u1, np.full_like(u0, nz)))
+        column = np.tile(np.arange(iy.size), 3)
         keep = stops > starts
         for cell, iz in _range_cells(column[keep], starts[keep], stops[keep] - starts[keep]):
             tile[iz, iy[cell], ix[cell]] = reachable_mask(geometry, xl[cell], yl[cell], z[iz])
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
 
 
-def _run_indices(z, lo, hi, margin, whole, first, stop):
-    """Index bounds of the cells of z[first:stop] within a closed-form
-    interval [lo, hi] of each column: the cells in [c0, c1) lie more than
-    margin inside it, and those outside [u0, u1) more than margin outside
-    it.  Columns flagged whole get an undecided [u0, u1) of the full range."""
-    u0 = np.clip(np.searchsorted(z, lo - margin, "left"), first, stop)
+def _run_indices(z, lo, hi, margin, whole, stop):
+    """Index bounds of the cells of z[:stop] within a closed-form interval
+    [lo, hi] of each column: the cells in [c0, c1) lie more than margin
+    inside it, and those outside [u0, u1) more than margin outside it.
+    Columns flagged whole get an undecided [u0, u1) of the full range."""
+    u0 = np.minimum(np.searchsorted(z, lo - margin, "left"), stop)
     u1 = np.clip(np.searchsorted(z, hi + margin, "right"), u0, stop)
     c0 = np.clip(np.searchsorted(z, lo + margin, "right"), u0, u1)
     c1 = np.clip(np.searchsorted(z, hi - margin, "left"), c0, u1)
-    u0[whole] = first
+    u0[whole] = 0
     u1[whole] = c0[whole] = c1[whole] = stop
     return (u0, c0, c1, u1)
 

@@ -72,6 +72,9 @@ from deltacut.design_opt import (
 from deltacut.errors import InvalidStream, UnknownProcess, Unreachable, UnreachableSample
 from deltacut.geometry import Pose, RobotGeometry
 from deltacut.kinematics import (
+    ARM_COS,
+    ARM_SIN,
+    DISC_TOL_FRAC,
     _plane_cut,
     inverse_kinematics,
     inverse_kinematics_many,
@@ -748,12 +751,26 @@ def pick(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
+def plane_cut_unclamped(geometry, x, y, arm_index: int):
+    """kinematics._plane_cut in its first form, which neither clamped rc2
+    nor shifted the pose to the pivot: (plane_miss, rc2, yp, tol), rc2 below
+    0 where the plane misses and yp the pose's arm-frame y, so the platform
+    joint sits at yp - b."""
+    r_e = geometry.r_e
+    tol = DISC_TOL_FRAC * (r_e * r_e)
+    c = ARM_COS[arm_index - 1]
+    s = ARM_SIN[arm_index - 1]
+    xp = x * c - y * s
+    rc2 = r_e * r_e - xp * xp
+    return rc2 < -tol, rc2, x * s + y * c, tol
+
+
 def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
     """kinematics._arm_kernel with selects: (np.sqrt, np.where) or (math.sqrt, pick)."""
     a = geometry.a
     b = geometry.b
     r_f = geometry.r_f
-    plane_miss, rc2, yp, tol = _plane_cut(geometry, x, y, arm_index)
+    plane_miss, rc2, yp, tol = plane_cut_unclamped(geometry, x, y, arm_index)
     rc2 = select(rc2 < 0.0, 0.0, rc2)
 
     ey = yp - b

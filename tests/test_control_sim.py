@@ -232,6 +232,17 @@ def test_read_trace_names_the_file_on_bad_events(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("field", ["1_0", "+3", " 3", "3 ", "03", "-0", "\u0663", "1e3", ""])
+def test_read_trace_takes_only_the_ticks_to_line_writes(tmp_path, field):
+    # int() takes most of these, and replay_check compares re-formatted text,
+    # so a trace file whose bytes differ from a fresh run would replay clean.
+    path = tmp_path / "trace.txt"
+    path.write_text(f"0\tlaser_off\tlaser\tlaser disabled\n{field}\tlaser_off\tlaser\t\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"trace file {path}: line 2: bad tick")):
+        read_trace(path)
+
+
 def test_trace_event_validation():
     with pytest.raises(ValueError):
         TraceEvent(-1, "laser_off")
