@@ -167,6 +167,7 @@ def _cmd_fk(args) -> int:
 
 def _cmd_workspace(args) -> int:
     geometry = load_geometry(args.geometry)
+    points = None if args.prescribed is None else workspace.load_prescribed(args.prescribed)
     if args.bounds is None:
         spec = workspace.default_grid_spec(geometry, resolution=args.resolution)
     else:
@@ -182,8 +183,7 @@ def _cmd_workspace(args) -> int:
     print(f"cells={grid.occupied_count}")
     print(f"total={nx * ny * nz}")
     print(f"volume={_fmt(workspace.volume_estimate(grid))}")
-    if args.prescribed is not None:
-        points = workspace.load_prescribed(args.prescribed)
+    if points is not None:
         print(f"coverage={_fmt(workspace.coverage(geometry, points))}")
     return 0
 

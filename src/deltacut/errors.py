@@ -140,7 +140,7 @@ class NoSolution(DomainError):
 
 
 class Singular(DomainError):
-    """The forward-kinematics sphere system is rank deficient."""
+    """Forward kinematics' shifted sphere centres coincide or are collinear."""
 
 
 class CellBudgetExceeded(ValueError):

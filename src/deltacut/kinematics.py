@@ -5,8 +5,8 @@ frame the actuated pivot sits at (y, z) = (-a, 0), the upper arm swings in
 the x = 0 plane, and the platform joint for the arm is the pose shifted by
 -b along y.  Inverse kinematics intersects the forearm sphere with the arm
 plane, then intersects the resulting circle with the knee circle and keeps
-the knee with the smaller y (elbow out).  Forward kinematics intersects the
-three forearm spheres after shifting their centres to the platform centroid.
+the knee with the smaller y (elbow out).  Forward kinematics steps from the
+circumcentre of the three shifted forearm sphere centres along their normal.
 
 _arm_kernel is the only place that solves an arm.  Its first stage,
 _plane_cut, reads only x and y; the closed forms of an arm's reach below the
@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import NoSolution, Singular, Unreachable
-from .geometry import JointAngles, Pose, RobotGeometry, THETA_MAX, THETA_MIN
+from .geometry import JointAngles, Pose, RobotGeometry
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -51,7 +51,7 @@ DISC_TOL_FRAC = 1e-12
 # folded, so math.atan2, which rounds by under an ulp, never returns either.
 FOLD_SLACK = 2.0 ** -48
 
-# Relative rank tolerance for the forward-kinematics plane system.
+# Relative tolerance of forward kinematics' coincidence and collinearity tests.
 RANK_TOL = 1e-12
 
 # Relative rounding the closed forms allow for, on the squared scale of their
@@ -305,93 +305,51 @@ def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
     return joints, ~bad
 
 
-def _det3(r0, r1, r2) -> float:
-    return (
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p, q) -> tuple[float, float, float]:
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
 def forward_kinematics(geometry: RobotGeometry, joints: JointAngles) -> Pose:
     """Effector pose for the joint angles; the below-base assembly branch.
 
-    Shifts every knee by the effector offset so all three forearm spheres
-    pass through the platform centroid, then intersects the spheres by
-    pairwise subtraction: two planes, their line, and a quadratic along it.
+    The forearm spheres, shifted by the effector offset, meet on the normal
+    n of their centres' plane through its circumcentre, sqrt(r_e^2 - R^2)
+    either side, R the circumradius; the pose is the lower point.
     """
-    a = geometry.a
-    b = geometry.b
-    r_f = geometry.r_f
-    r_e = geometry.r_e
-
+    # Exact scaling to units of 2^p ~ r_f + r_e, so no step over- or underflows:
+    # every centre lies within 2 (r_f + r_e) of the axis, as |a - b| < r_f + r_e.
+    p = math.frexp(geometry.r_f + geometry.r_e)[1]
+    a, b, r_f, r_e = (math.ldexp(v, -p) for v in
+                      (geometry.a, geometry.b, geometry.r_f, geometry.r_e))
     centers = []
     for i, theta in enumerate(joints.as_tuple()):
-        if not (THETA_MIN < theta < THETA_MAX):
-            raise ValueError(f"theta{i + 1}={theta} outside canonical joint range")
         t = a - b + r_f * math.cos(theta)
-        zc = -r_f * math.sin(theta)
-        c = ARM_COS[i]
-        s = ARM_SIN[i]
-        # Arm-frame centre (0, -t, zc) rotated back to the world frame.
-        centers.append(((-t) * s, (-t) * c, zc))
-
+        # Arm-frame centre (0, -t, -r_f sin(theta)) rotated back to the world frame.
+        centers.append(((-t) * ARM_SIN[i], (-t) * ARM_COS[i], -r_f * math.sin(theta)))
     c1, c2, c3 = centers
-    ux, uy, uz = c2[0] - c1[0], c2[1] - c1[1], c2[2] - c1[2]
-    vx, vy, vz = c3[0] - c1[0], c3[1] - c1[1], c3[2] - c1[2]
-    nx = uy * vz - uz * vy
-    ny = uz * vx - ux * vz
-    nz = ux * vy - uy * vx
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    un = math.sqrt(ux * ux + uy * uy + uz * uz)
-    vn = math.sqrt(vx * vx + vy * vy + vz * vz)
+    u = [q - s for s, q in zip(c1, c2)]
+    v = [q - s for s, q in zip(c1, c3)]
+    n = _cross(u, v)
+    uu, vv, nn2 = _dot(u, u), _dot(v, v), _dot(n, n)
+    un, vn, nn = math.sqrt(uu), math.sqrt(vv), math.sqrt(nn2)
     # Coincidence is judged against the forearm length, collinearity against
     # the centre spacing; both at the same relative tolerance.
     if un < RANK_TOL * r_e or vn < RANK_TOL * r_e or nn < RANK_TOL * un * vn:
         raise Singular("shifted sphere centres are collinear or coincident")
 
-    # Plane equations from pairwise sphere subtraction (equal radii), plus
-    # the centre plane through c1 to pin a particular point on the line.
-    sq1 = c1[0] * c1[0] + c1[1] * c1[1] + c1[2] * c1[2]
-    sq2 = c2[0] * c2[0] + c2[1] * c2[1] + c2[2] * c2[2]
-    sq3 = c3[0] * c3[0] + c3[1] * c3[1] + c3[2] * c3[2]
-    rows = (
-        (2.0 * ux, 2.0 * uy, 2.0 * uz),
-        (2.0 * vx, 2.0 * vy, 2.0 * vz),
-        (nx, ny, nz),
-    )
-    rhs = (sq2 - sq1, sq3 - sq1, nx * c1[0] + ny * c1[1] + nz * c1[2])
-
-    det = _det3(*rows)
-    if det == 0.0:
-        raise Singular("plane-intersection system is rank deficient")
-    px = _det3((rhs[0], rows[0][1], rows[0][2]),
-               (rhs[1], rows[1][1], rows[1][2]),
-               (rhs[2], rows[2][1], rows[2][2])) / det
-    py = _det3((rows[0][0], rhs[0], rows[0][2]),
-               (rows[1][0], rhs[1], rows[1][2]),
-               (rows[2][0], rhs[2], rows[2][2])) / det
-    pz = _det3((rows[0][0], rows[0][1], rhs[0]),
-               (rows[1][0], rows[1][1], rhs[1]),
-               (rows[2][0], rows[2][1], rhs[2])) / det
-
-    # The particular point lies in the centre plane, so the quadratic along
-    # the line direction reduces to s^2 = r_e^2 - |p - c1|^2.
-    wx, wy, wz = px - c1[0], py - c1[1], pz - c1[2]
-    disc = r_e * r_e - (wx * wx + wy * wy + wz * wz)
-    tol = DISC_TOL_FRAC * (r_e * r_e)
-    if disc < -tol:
+    # The circumcentre, less c1: (|u|^2 v x n + |v|^2 n x u) / (2 |n|^2).
+    w = [(uu * s + vv * q) / (2.0 * nn2) for s, q in zip(_cross(v, n), _cross(n, u))]
+    disc = r_e * r_e - _dot(w, w)
+    if disc < -DISC_TOL_FRAC * (r_e * r_e):
         raise NoSolution("forearm spheres share no common point")
-    if disc < 0.0:
-        disc = 0.0
-    step = math.sqrt(disc)
-
-    hx, hy, hz = nx / nn, ny / nn, nz / nn
-    if hz > 0.0:
+    step = math.sqrt(max(disc, 0.0)) / nn
+    if n[2] > 0.0:
         step = -step
-    x = px + step * hx
-    y = py + step * hy
-    z = pz + step * hz
+    x, y, z = (math.ldexp(c + d + step * m, p) for c, d, m in zip(c1, w, n))
     if not z < 0.0:
         raise NoSolution("assembly point does not lie below the base plane")
     return Pose(x, y, z)

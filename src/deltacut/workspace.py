@@ -307,7 +307,8 @@ def default_grid_spec(geometry: RobotGeometry, resolution: float = 10.0) -> Grid
     """Bounding box that provably contains the workspace.
 
     Horizontal radius a + r_f + r_e; z from -(r_f + r_e) up to the base
-    plane.
+    plane, and past it by under a cell where the resolution does not divide
+    r_f + r_e; compute_workspace leaves such cells to the kernel.
     """
     radius = geometry.a + geometry.r_f + geometry.r_e
     depth = geometry.r_f + geometry.r_e

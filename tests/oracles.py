@@ -43,6 +43,11 @@ coverage_links_kernel is point-set coverage as it ran before the closed-form
 pair verdict: the kernel tests every geometry x point pair, in blocks of at
 most PAIR_BUDGET pairs.  The package decides most pairs in closed form and
 runs the kernel only on the pairs within the verdict's margin.
+
+fk_planes is forward kinematics as it ran before the circumcentre solve:
+pairwise sphere subtraction gives two planes, a third row pins the point of
+their line in the centres' plane, and Cramer's rule solves the 3 x 3
+system.  The package takes the centres' circumcentre in closed form.
 """
 
 from __future__ import annotations
@@ -69,12 +74,20 @@ from deltacut.design_opt import (
     GaResult,
     population_fitness,
 )
-from deltacut.errors import InvalidStream, UnknownProcess, Unreachable, UnreachableSample
-from deltacut.geometry import Pose, RobotGeometry
+from deltacut.errors import (
+    InvalidStream,
+    NoSolution,
+    Singular,
+    UnknownProcess,
+    Unreachable,
+    UnreachableSample,
+)
+from deltacut.geometry import THETA_MAX, THETA_MIN, JointAngles, Pose, RobotGeometry
 from deltacut.kinematics import (
     ARM_COS,
     ARM_SIN,
     DISC_TOL_FRAC,
+    RANK_TOL,
     _plane_cut,
     inverse_kinematics,
     inverse_kinematics_many,
@@ -804,3 +817,100 @@ def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
     folded = select(sin_c < 0.0, cos_c <= -slack * sin_c,
                     select(cos_c < 0.0, sin_c <= -slack * cos_c, (sin_c == 0.0) & (cos_c == 0.0)))
     return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c
+
+
+def _det3(r0, r1, r2) -> float:
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+
+
+def fk_planes(geometry: RobotGeometry, joints: JointAngles, probe: dict | None = None) -> Pose:
+    """kinematics.forward_kinematics as it ran with the plane system; probe,
+    if given, receives its disc and tol and, once disc passes, its z.
+
+    Shifts every knee by the effector offset so all three forearm spheres
+    pass through the platform centroid, then intersects the spheres by
+    pairwise subtraction: two planes, their line, and a quadratic along it.
+    """
+    a = geometry.a
+    b = geometry.b
+    r_f = geometry.r_f
+    r_e = geometry.r_e
+
+    centers = []
+    for i, theta in enumerate(joints.as_tuple()):
+        if not (THETA_MIN < theta < THETA_MAX):
+            raise ValueError(f"theta{i + 1}={theta} outside canonical joint range")
+        t = a - b + r_f * math.cos(theta)
+        zc = -r_f * math.sin(theta)
+        c = ARM_COS[i]
+        s = ARM_SIN[i]
+        # Arm-frame centre (0, -t, zc) rotated back to the world frame.
+        centers.append(((-t) * s, (-t) * c, zc))
+
+    c1, c2, c3 = centers
+    ux, uy, uz = c2[0] - c1[0], c2[1] - c1[1], c2[2] - c1[2]
+    vx, vy, vz = c3[0] - c1[0], c3[1] - c1[1], c3[2] - c1[2]
+    nx = uy * vz - uz * vy
+    ny = uz * vx - ux * vz
+    nz = ux * vy - uy * vx
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    un = math.sqrt(ux * ux + uy * uy + uz * uz)
+    vn = math.sqrt(vx * vx + vy * vy + vz * vz)
+    # Coincidence is judged against the forearm length, collinearity against
+    # the centre spacing; both at the same relative tolerance.
+    if un < RANK_TOL * r_e or vn < RANK_TOL * r_e or nn < RANK_TOL * un * vn:
+        raise Singular("shifted sphere centres are collinear or coincident")
+
+    # Plane equations from pairwise sphere subtraction (equal radii), plus
+    # the centre plane through c1 to pin a particular point on the line.
+    sq1 = c1[0] * c1[0] + c1[1] * c1[1] + c1[2] * c1[2]
+    sq2 = c2[0] * c2[0] + c2[1] * c2[1] + c2[2] * c2[2]
+    sq3 = c3[0] * c3[0] + c3[1] * c3[1] + c3[2] * c3[2]
+    rows = (
+        (2.0 * ux, 2.0 * uy, 2.0 * uz),
+        (2.0 * vx, 2.0 * vy, 2.0 * vz),
+        (nx, ny, nz),
+    )
+    rhs = (sq2 - sq1, sq3 - sq1, nx * c1[0] + ny * c1[1] + nz * c1[2])
+
+    det = _det3(*rows)
+    if det == 0.0:
+        raise Singular("plane-intersection system is rank deficient")
+    px = _det3((rhs[0], rows[0][1], rows[0][2]),
+               (rhs[1], rows[1][1], rows[1][2]),
+               (rhs[2], rows[2][1], rows[2][2])) / det
+    py = _det3((rows[0][0], rhs[0], rows[0][2]),
+               (rows[1][0], rhs[1], rows[1][2]),
+               (rows[2][0], rhs[2], rows[2][2])) / det
+    pz = _det3((rows[0][0], rows[0][1], rhs[0]),
+               (rows[1][0], rows[1][1], rhs[1]),
+               (rows[2][0], rows[2][1], rhs[2])) / det
+
+    # The particular point lies in the centre plane, so the quadratic along
+    # the line direction reduces to s^2 = r_e^2 - |p - c1|^2.
+    wx, wy, wz = px - c1[0], py - c1[1], pz - c1[2]
+    disc = r_e * r_e - (wx * wx + wy * wy + wz * wz)
+    tol = DISC_TOL_FRAC * (r_e * r_e)
+    if probe is not None:
+        probe.update(disc=disc, tol=tol)
+    if disc < -tol:
+        raise NoSolution("forearm spheres share no common point")
+    if disc < 0.0:
+        disc = 0.0
+    step = math.sqrt(disc)
+
+    hx, hy, hz = nx / nn, ny / nn, nz / nn
+    if hz > 0.0:
+        step = -step
+    x = px + step * hx
+    y = py + step * hy
+    z = pz + step * hz
+    if probe is not None:
+        probe["z"] = z
+    if not z < 0.0:
+        raise NoSolution("assembly point does not lie below the base plane")
+    return Pose(x, y, z)

@@ -109,6 +109,20 @@ def test_workspace_bounds_that_overflow_the_cell_count_are_a_usage_error(capsys,
     assert not (tmp_path / "grid.txt").exists()
 
 
+def test_workspace_refuses_a_bad_points_file_before_scanning(capsys, fixtures_dir, tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text("[]")
+    code = app(["workspace", "--geometry", str(fixtures_dir / "g0.json"),
+                "--out", str(tmp_path / "grid.txt"), "--resolution", "25",
+                "--prescribed", str(points)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ValueError: prescribed file {points}: ")
+    assert "scanning" not in captured.err
+    assert not (tmp_path / "grid.txt").exists()
+
+
 def test_optimize_is_reproducible(capsys, fixtures_dir, tmp_path):
     argv = ["optimize", "--bounds", str(fixtures_dir / "bounds.json"),
             "--prescribed", str(fixtures_dir / "prescribed_mixed10.json"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import load_fixture
@@ -11,6 +13,8 @@ from deltacut import (
     Pose,
     RobotGeometry,
     Singular,
+    THETA_MAX,
+    THETA_MIN,
     Unreachable,
     forward_kinematics,
     inverse_kinematics,
@@ -69,6 +73,80 @@ def test_forward_no_solution_configuration(g0):
     golden = load_fixture("fk_golden.json")
     with pytest.raises(NoSolution):
         fk_tuple(g0, *golden["no_solution"])
+
+
+G0 = RobotGeometry(f=200.0 * math.sqrt(3.0), e=60.0 * math.sqrt(3.0), r_f=150.0, r_e=350.0)
+FK_GOLDEN = load_fixture("fk_golden.json")
+
+
+def nudged(thetas, steps):
+    """thetas, each moved by its count of ulps in steps."""
+    moved = []
+    for theta, k in zip(thetas, steps):
+        for _ in range(abs(k)):
+            theta = math.nextafter(theta, math.copysign(math.inf, k))
+        moved.append(theta)
+    return tuple(moved)
+
+
+@st.composite
+def unit_geometries(draw):
+    f, e, r_f, r_e = (draw(st.floats(lo, hi)) for lo, hi in
+                      ((80, 500), (30, 250), (50, 300), (100, 600)))
+    try:
+        return RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e)
+    except ValueError:
+        assume(False)
+
+
+angle = st.floats(THETA_MIN, THETA_MAX, exclude_min=True, exclude_max=True)
+ulps = st.tuples(*[st.integers(-4, 4)] * 3)
+fk_cases = st.one_of(
+    st.tuples(st.one_of(st.just(G0), unit_geometries()), st.tuples(angle, angle, angle)),
+    st.tuples(st.just(G0), ulps.map(lambda k: nudged(FK_GOLDEN["singular"], k))),
+    st.tuples(st.just(G0), ulps.map(lambda k: nudged(FK_GOLDEN["no_solution"], k))),
+)
+
+
+def fk_outcome(solve, geometry, thetas, **kwargs):
+    """The pose as a tuple, or the DomainError type solve raises."""
+    try:
+        pose = solve(geometry, JointAngles(*thetas), **kwargs)
+    except (NoSolution, Singular) as exc:
+        return type(exc)
+    return (pose.x, pose.y, pose.z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=fk_cases, power=st.integers(-499, 499))
+def test_circumcentre_solve_matches_the_plane_system(case, power):
+    """The circumcentre solve agrees with the plane system it replaced, and
+    scales exactly with the links, 2^power from about 1e-150 to 1e150.
+
+    The plane system is the reference on the unit-scale links only: its
+    products reach the fifth power of the link length, so links below about
+    1e-62 mm or above about 1e61 mm over- or underflow it into a wrong
+    Singular, NoSolution or pose."""
+    geometry, thetas = case
+    probe = {}
+    want = fk_outcome(oracles.fk_planes, geometry, thetas, probe=probe)
+    got = fk_outcome(forward_kinematics, geometry, thetas)
+    size = geometry.r_f + geometry.r_e
+    # Where the plane system's verdict is within rounding of its tolerance,
+    # either verdict is right.
+    near_edge = (("disc" in probe and abs(probe["disc"] + probe["tol"]) <= 1e-9 * probe["tol"])
+                 or abs(probe.get("z", size)) <= 1e-9 * size)
+    if not near_edge:
+        assert isinstance(got, tuple) == isinstance(want, tuple)
+        if isinstance(want, tuple):
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * size
+        else:
+            assert got is want
+    scaled = RobotGeometry(*(math.ldexp(v, power) for v in
+                             (geometry.f, geometry.e, geometry.r_f, geometry.r_e)))
+    if isinstance(got, tuple):
+        got = tuple(math.ldexp(v, power) for v in got)
+    assert fk_outcome(forward_kinematics, scaled, thetas) == got
 
 
 def test_round_trip_pose_to_joints(g0):
