@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import control_sim, design_opt, trajectory, workspace
 from .errors import DomainError, write_json
@@ -38,6 +40,21 @@ def _fmt(value: float) -> str:
 
 def _note(text: str) -> None:
     print(text, file=sys.stderr)
+
+
+@contextmanager
+def _claim(path):
+    """Create --out before any work, so a path that cannot be written fails
+    first; a file made here goes again if the command raises."""
+    made = path is not None and not os.path.exists(path)
+    if path is not None:
+        open(path, "ab").close()
+    try:
+        yield
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,7 +269,8 @@ def app(argv=None) -> int:
     args = parser.parse_args(argv)
     _keep_heap()
     try:
-        return args.func(args)
+        with _claim(getattr(args, "out", None)):
+            return args.func(args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -10,20 +10,32 @@ a documented stream layout, so runs are reproducible byte for byte:
         child g      all draws of generation g, consumed in slot order
                      (parent tournaments, crossover, mutation per offspring)
 
-Both tournaments of a slot come from one integers call: numpy draws bounded
-integers one at a time from the bit generator, whose 32-bit buffer outlives
-the call, so this consumes the stream as one call per tournament did.  Only
+A slot draws its two tournaments' entrants, one crossover coin, four blend
+weights if the coin says cross, and four normals of mutation noise.  numpy
+draws an entrant below pop from the next 32-bit half u of a 64-bit word,
+low half first, by Lemire's rule: (u * pop) >> 32, drawn again while
+(u * pop) mod 2**32 < 2**32 mod pop.  Its coin is random() < rate, and
+random() is (w >> 11) * 2**-53 of the next word w.  So a slot takes
+tournament_size + 1 raw words, then numpy's own random(4) and
+standard_normal(4), and array code rebuilds the entrants and coins from the
+words.  A generation in which a half falls in the rejection zone is drawn
+again from its stream by numpy's integers(), one call per slot; so is every
+generation that expects half a rejection or more,
+4 * tournament_size * slots * (2**32 mod pop) >= 2**32, at once.  Above
+2**32 numpy draws entrants from whole words, so GaConfig stops there.  Only
 the draws run slot by slot; winners, crossover and mutation are computed
 once per generation, with the same IEEE operations per gene.
 
 Fitness evaluation consumes no randomness, so evaluation order cannot
-perturb results; each generation is scored by one population_fitness call.
+perturb results; each generation's children are scored by one
+population_fitness call, and the elites keep the fitness they had.
 The uniform random-search baseline draws all its genomes at once from
 SeedSequence([seed, _BASELINE_STREAM]) and scores them in batches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -94,6 +106,9 @@ class GaConfig:
     def __post_init__(self):
         # Values are checked, not converted, so result files echo them as given.
         population_size = as_count("population_size", self.population_size, 2)
+        # Above 2**32 numpy draws entrants from 64-bit words, not 32-bit halves.
+        if population_size > 2 ** 32:
+            raise ValueError(f"population_size must be in [2, 2**32], got {population_size}")
         as_count("generations", self.generations, 0)
         if not as_count("tournament_size", self.tournament_size, 1) <= population_size:
             raise ValueError("tournament_size must be in [1, population_size]")
@@ -177,10 +192,38 @@ def _rank(fits: np.ndarray) -> np.ndarray:
     return np.argsort(-fits, kind="stable")
 
 
-def _draw_slots(rng: np.random.Generator, slots: int, cfg: GaConfig):
+def _draw_slots(stream: np.random.SeedSequence, slots: int, cfg: GaConfig):
     """One generation's draws, slot by slot: tournament entrants (slots, 2,
     tournament_size), crossover flags, blend weights (zero where a slot does
     not cross) and mutation noise."""
+    pop_size, size = cfg.population_size, cfg.tournament_size
+    reject = 2 ** 32 % pop_size
+    # Expecting under half a rejection, rebuild the entrants from raw words.
+    if 4 * size * slots * reject < 2 ** 32:
+        rng = np.random.default_rng(stream)
+        raw, random, normal = rng.bit_generator.random_raw, rng.random, rng.standard_normal
+        # random() < rate exactly when the word is below this limit.
+        limit = math.ceil(cfg.crossover_rate * 2 ** 53) << 11
+        no_blend = np.zeros(4)
+        heads, cross, blend, noise = [], [], [], []
+        for _ in range(slots):
+            words = raw(size + 1)
+            heads.append(words)
+            coin = words.item(size) < limit
+            cross.append(coin)
+            blend.append(random(4) if coin else no_blend)
+            noise.append(normal(4))
+        words = np.array(heads)[:, :size]
+        halves = np.stack((words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)), axis=2)
+        scaled = halves.reshape(slots, 2, size) * np.uint64(pop_size)
+        if not ((scaled & np.uint64(0xFFFFFFFF)) < reject).any():
+            return ((scaled >> np.uint64(32)).astype(np.intp), np.array(cross),
+                    np.array(blend), np.array(noise))
+    return _numpy_slots(np.random.default_rng(stream), slots, cfg)
+
+
+def _numpy_slots(rng: np.random.Generator, slots: int, cfg: GaConfig):
+    """_draw_slots with numpy's own integers() call per slot."""
     integers, random, normal = rng.integers, rng.random, rng.standard_normal
     pop_size = cfg.population_size
     draw = 2 * cfg.tournament_size
@@ -219,16 +262,16 @@ def run_ga(
     fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
     history = [(float(fits.max()), float(fits.mean()))]
     evaluations = pop_size
-    best_idx = _rank(fits)[0]
+    best_idx = fits.argmax()
     best_genome = population[best_idx].copy()
     best_fit = float(fits[best_idx])
 
     for gen in range(1, cfg.generations + 1):
-        rng = np.random.default_rng(streams[gen])
-        entrants, cross, blend, noise = _draw_slots(rng, pop_size - elite, cfg)
+        entrants, cross, blend, noise = _draw_slots(streams[gen], pop_size - elite, cfg)
         order = _rank(fits)
         # A tournament's winner is its entrant with the best place in order.
-        place = np.argsort(order)
+        place = np.empty_like(order)
+        place[order] = np.arange(pop_size)
         winners = order[place[entrants].min(axis=2)]
         p1 = population[winners[:, 0]]
         p2 = population[winners[:, 1]]
@@ -238,12 +281,14 @@ def run_ga(
         pad = _BLEND_ALPHA * (high - low)
         child = np.where(cross[:, None], low - pad + blend * ((high + pad) - (low - pad)), p1)
 
-        population = np.concatenate(
-            (population[order[:elite]], np.clip(child + noise * sigma, lo, hi)))
-        fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
+        child = np.clip(child + noise * sigma, lo, hi)
+        population = np.concatenate((population[order[:elite]], child))
+        # Fitness is row by row, so the elites keep theirs.
+        fits = np.concatenate((fits[order[:elite]], population_fitness(
+            child, prescribed, cfg.size_penalty_weight, bounds)))
         evaluations += pop_size
         history.append((float(fits.max()), float(fits.mean())))
-        gen_best = _rank(fits)[0]
+        gen_best = fits.argmax()
         if float(fits[gen_best]) > best_fit:
             best_fit = float(fits[gen_best])
             best_genome = population[gen_best].copy()

@@ -24,6 +24,7 @@ import oracles
 from deltacut import (
     Contour,
     CutProgram,
+    GaConfig,
     LineSegment,
     PrescribedWorkspace,
     RobotGeometry,
@@ -297,7 +298,9 @@ def gen_design_opt():
 def design_results() -> dict:
     """GA and random-search outputs on the design fixtures, as file texts.
 
-    Frozen so that a change to fitness evaluation cannot move a result.
+    Frozen so that a change to fitness evaluation or to the GA's draws
+    cannot move a result: ga_small covers 66 slots, the default GaConfig
+    (50 x 100, seed 7) 4,900.
     """
     bounds = load_bounds(FIXTURES / "bounds.json")
     points = load_prescribed(FIXTURES / "recovery_points.json")
@@ -309,6 +312,7 @@ def design_results() -> dict:
         found[str(evaluations)] = [genome.tolist(), fit]
     return {
         "ga_small_result.json": run_ga(bounds, points, config).to_json(),
+        "ga_default_result.json": run_ga(bounds, points, GaConfig(seed=7)).to_json(),
         "random_search_small.json": json.dumps(found, indent=2, sort_keys=True) + "\n",
     }
 

@@ -29,6 +29,10 @@ numbers in the same order and breeds a whole generation with array code.
 fitness_per_genome scores a population one RobotGeometry at a time, with
 coverage(); the package masks unassemblable genomes out with array code.
 
+draw_slots_numpy is a generation's draws as run_ga_slots makes them, numpy's
+own integers() call per tournament; the package rebuilds the entrants and
+the crossover coins from raw 64-bit words.
+
 scan_live_columns is the workspace scan as it ran before column runs: a
 plane probe drops the columns some arm's plane misses, and the kernel tests
 every cell of the others.  The package decides most cells from closed-form
@@ -644,6 +648,21 @@ def coverage_links_kernel(links, prescribed: PrescribedWorkspace) -> np.ndarray:
 def _rank(fits: np.ndarray) -> list[int]:
     # Descending fitness; index breaks ties so ordering is total.
     return sorted(range(len(fits)), key=lambda i: (-fits[i], i))
+
+
+def draw_slots_numpy(stream, slots: int, cfg: GaConfig):
+    """design_opt._draw_slots' outputs drawn as run_ga_slots draws them: per
+    slot two integers(pop, size=t) calls, then random(), random(4) when the
+    slot crosses, and standard_normal(4)."""
+    rng = np.random.default_rng(stream)
+    entrants, cross, blend, noise = [], [], [], []
+    for _ in range(slots):
+        entrants.append([rng.integers(0, cfg.population_size, size=cfg.tournament_size)
+                         for _ in range(2)])
+        cross.append(rng.random() < cfg.crossover_rate)
+        blend.append(rng.random(4) if cross[-1] else np.zeros(4))
+        noise.append(rng.standard_normal(4))
+    return np.array(entrants), np.array(cross), np.array(blend), np.array(noise)
 
 
 def run_ga_slots(

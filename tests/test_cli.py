@@ -146,6 +146,39 @@ def test_optimize_is_reproducible(capsys, fixtures_dir, tmp_path):
     assert json.loads(third.read_text(encoding="utf-8"))["config"]["seed"] == 9
 
 
+def out_in_a_missing_directory(command, fixtures, out):
+    """argv for command on the fixtures, writing to out."""
+    inputs = {
+        "workspace": ["--geometry", "g0.json", "--resolution", "25"],
+        "optimize": ["--bounds", "bounds.json", "--prescribed", "recovery_points.json"],
+        "plan": ["--geometry", "g0.json", "--program", "programs/line100.json"],
+    }[command]
+    return [command, *(str(fixtures / v) if v.endswith(".json") else v for v in inputs),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["workspace", "optimize", "plan"])
+def test_an_unwritable_out_fails_before_any_work(capsys, fixtures_dir, tmp_path, command):
+    out = tmp_path / "missing" / "out"
+    assert app(out_in_a_missing_directory(command, fixtures_dir, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # The error alone: no scan, GA or plan note before it.
+    assert captured.err.splitlines() == [f"FileNotFoundError: [Errno 2] No such file or "
+                                         f"directory: '{out}'"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_command_keeps_an_existing_out_as_it_was(capsys, fixtures_dir, tmp_path):
+    out = tmp_path / "stream.csv"
+    out.write_bytes(b"kept")
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(fixtures_dir / "programs/line100.json"),
+                "--tick", "1e-12", "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert out.read_bytes() == b"kept"
+
+
 def test_plan_reproduces_the_golden_stream(capsys, fixtures_dir, tmp_path):
     out = tmp_path / "stream.csv"
     code = app(["plan", "--geometry", str(fixtures_dir / "g0.json"),

@@ -23,8 +23,8 @@ from deltacut import (
     run_ga,
 )
 from deltacut import workspace
-from deltacut.design_opt import population_fitness
-from oracles import fitness_per_genome, run_ga_slots
+from deltacut.design_opt import _draw_slots, population_fitness
+from oracles import draw_slots_numpy, fitness_per_genome, run_ga_slots
 
 INFEASIBLE = -1.0
 
@@ -81,6 +81,10 @@ def test_config_validation():
         GaConfig(elitism_count=50, population_size=10)
     with pytest.raises(ValueError):
         GaConfig(seed=-1)
+    # numpy draws entrants from 64-bit words above 2**32.
+    assert GaConfig(population_size=2 ** 32).population_size == 2 ** 32
+    with pytest.raises(ValueError, match="population_size"):
+        GaConfig(population_size=2 ** 32 + 1)
 
 
 def test_default_hyperparameters():
@@ -302,6 +306,45 @@ def test_run_ga_matches_the_slot_by_slot_oracle(config):
     bounds = small_bounds()
     points = small_points()
     assert run_ga(bounds, points, config).to_json() == run_ga_slots(bounds, points, config).to_json()
+
+
+# Populations where Lemire's rule rejects a 32-bit half often (3e9, 2**31 + 1)
+# or never (2**32, 2), and ordinary ones.
+_DRAW_POPULATIONS = [2, 3, 50, 1000, 1_000_003, 3 * 10 ** 9, 2 ** 31 + 1, 2 ** 32]
+
+
+def same_draws(got, want) -> bool:
+    return all(g.shape == w.shape and (g == w).all() for g, w in zip(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pop=st.one_of(st.sampled_from(_DRAW_POPULATIONS), st.integers(2, 2 ** 32)),
+       size=st.integers(1, 3), slots=st.integers(1, 60),
+       rate=st.one_of(st.sampled_from([0.0, 1.0, 0.5, 5e-324, math.nextafter(1.0, 0.0)]),
+                      st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_draw_slots_match_numpy_per_tournament_draws(pop, size, slots, rate, seed):
+    cfg = GaConfig(population_size=pop, tournament_size=min(size, pop), crossover_rate=rate)
+    stream = np.random.SeedSequence(seed)
+    assert same_draws(_draw_slots(stream, slots, cfg), draw_slots_numpy(stream, slots, cfg))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_a_rejected_raw_half_redraws_the_generation_with_numpy(size):
+    # At 3.5e9 one half in about 5.4 falls in Lemire's rejection zone, and a
+    # slot expects 2 * size * 0.185 rejections: below one half for size 1,
+    # so the raw words are tried first, and above it for 2 and 3, so numpy
+    # draws at once.
+    cfg = GaConfig(population_size=3_500_000_000, tournament_size=size)
+    streams = np.random.SeedSequence(11).spawn(40)
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+        for stream in streams:
+            assert same_draws(_draw_slots(stream, 1, cfg), draw_slots_numpy(stream, 1, cfg))
+    starts = rng.call_count - len(streams)  # less the oracle's one per stream
+    if size == 1:
+        assert len(streams) < starts < 2 * len(streams)  # some, not all, fell back
+    else:
+        assert starts == len(streams)
 
 
 _ODD_GENES = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e154, 1.4e154, 1e200]

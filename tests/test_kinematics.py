@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -147,6 +149,140 @@ def test_circumcentre_solve_matches_the_plane_system(case, power):
     if isinstance(got, tuple):
         got = tuple(math.ldexp(v, power) for v in got)
     assert fk_outcome(forward_kinematics, scaled, thetas) == got
+
+
+def knee_centres(geometry, thetas):
+    """The shifted knee centres forward kinematics intersects, as it
+    computes them."""
+    centres = []
+    for i, theta in enumerate(thetas):
+        t = geometry.a - geometry.b + geometry.r_f * math.cos(theta)
+        centres.append(((-t) * kinematics.ARM_SIN[i], (-t) * kinematics.ARM_COS[i],
+                        -geometry.r_f * math.sin(theta)))
+    return centres
+
+
+def cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def dot(p, q):
+    return sum(a * b for a, b in zip(p, q))
+
+
+def circumcentre(*centres):
+    """The exact circumcentre and squared circumradius of three points, and
+    the squared sine of the angle at the first (0 when they are collinear)."""
+    c1, c2, c3 = ([Fraction(v) for v in c] for c in centres)
+    u = [q - p for p, q in zip(c1, c2)]
+    v = [q - p for p, q in zip(c1, c3)]
+    n = cross(u, v)
+    nn = dot(n, n)
+    if nn == 0:
+        return None, math.inf, 0
+    w = [(dot(u, u) * s + dot(v, v) * q) / (2 * nn) for s, q in zip(cross(v, n), cross(n, u))]
+    return [p + d for p, d in zip(c1, w)], dot(w, w), nn / (dot(u, u) * dot(v, v))
+
+
+@st.composite
+def stretched_arms(draw):
+    """Joint angles, and a forearm within 4 ulps of the circumradius of the
+    shifted knee centres: every arm at full stretch, the three spheres all
+    but tangent at the circumcentre.
+
+    The effector offset b exceeds the base offset a by about r_f, so the
+    home-pose rule r_e > |a + r_f - b| admits so short a forearm."""
+    f, r_f, x = draw(st.floats(80, 500)), draw(st.floats(50, 300)), draw(st.floats(-1, 1))
+    e = f + 2.0 * math.sqrt(3.0) * r_f * (1.0 + x)
+    thetas = draw(st.tuples(angle, angle, angle))
+    # The centres do not depend on r_e.
+    centres = knee_centres(RobotGeometry(f=f, e=e, r_f=r_f, r_e=3.0 * r_f), thetas)
+    centre, radius2, sin2 = circumcentre(*centres)
+    radius = math.sqrt(radius2)
+    assume(sin2 > 1e-6 and centre[2] < -1e-6 * radius)
+    assume(min(math.dist(p, q) for p, q in combinations(centres, 2)) > 1e-6 * radius)
+    r_e = nudged([radius], [draw(st.integers(-4, 4))])[0]
+    try:
+        return RobotGeometry(f=f, e=e, r_f=r_f, r_e=r_e), thetas, centre
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=stretched_arms())
+def test_arms_at_full_stretch_meet_at_the_circumcentre(case):
+    """A discriminant that rounds below zero at tangency is a touch, not a
+    miss."""
+    geometry, thetas, centre = case
+    pose = fk_tuple(geometry, *thetas)
+    assert max(abs(p - float(c)) for p, c in zip(pose, centre)) <= 1e-6 * geometry.r_e
+
+
+def arm2_plane_point(geometry, theta1, theta3):
+    """Arm 2's in-plane (s, z) of the point where the line through the
+    shifted knee centres of arms 1 and 3 crosses arm 2's vertical plane."""
+    p1, p3 = knee_centres(geometry, (theta1, 0.0, theta3))[0::2]
+    normal = (kinematics.ARM_COS[1], -kinematics.ARM_SIN[1], 0)
+    d = [q - p for p, q in zip(p1, p3)]
+    q = [p + e * -dot(normal, p1) / dot(normal, d) for p, e in zip(p1, d)]
+    return q[0] * kinematics.ARM_SIN[1] + q[1] * kinematics.ARM_COS[1], q[2]
+
+
+def collinear_triples(geometry, theta1):
+    """Joint angles (theta1, theta2, theta3) whose shifted knee centres lie
+    on one line, to rounding: the line through arms 1 and 3's centres meets
+    arm 2's circle, theta3 found by bisection."""
+    offset = geometry.a - geometry.b
+
+    def miss(theta3):
+        s, z = arm2_plane_point(geometry, theta1, theta3)
+        return (s + offset) ** 2 + z * z - geometry.r_f ** 2
+
+    grid = np.linspace(THETA_MIN, THETA_MAX, 61)[1:-1].tolist()
+    found = []
+    for lo, hi in zip(grid, grid[1:]):
+        below = miss(lo) < 0.0
+        if below == (miss(hi) < 0.0):
+            continue
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (miss(mid) < 0.0) == below else (lo, mid)
+        # A sign change across the pole, where the line runs parallel to
+        # the plane, is no crossing.
+        if abs(miss(lo)) < 1e-9 * geometry.r_f ** 2:
+            s, z = arm2_plane_point(geometry, theta1, lo)
+            theta2 = math.atan2(-z, -s - offset)
+            if THETA_MIN < theta2 < THETA_MAX:
+                found.append((theta1, theta2, lo))
+    return found
+
+
+@st.composite
+def near_collinear_arms(draw):
+    """Joint angles whose shifted knee centres lie within about 1e-10 to
+    1e-6 of one line: a collinear triple, no two of its centres within
+    r_f / 100, with theta2 turned slightly."""
+    geometry = draw(st.one_of(st.just(G0), unit_geometries()))
+    triples = [t for t in collinear_triples(geometry, draw(angle))
+               if min(math.dist(p, q) for p, q in
+                      combinations(knee_centres(geometry, t), 2)) > geometry.r_f / 100]
+    assume(triples)
+    theta1, theta2, theta3 = draw(st.sampled_from(triples))
+    theta2 += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10.0, -7.0))
+    assume(THETA_MIN < theta2 < THETA_MAX)
+    return geometry, (theta1, theta2, theta3)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(case=near_collinear_arms())
+def test_near_collinear_knee_centres_are_not_singular(case):
+    """Collinearity is judged at RANK_TOL = 1e-12 of the centre spacing.
+    Centres 1e-10 to 1e-6 off their line are not collinear: their
+    circumcircle is far wider than the forearm, so the spheres miss."""
+    geometry, thetas = case
+    _, radius2, sin2 = circumcentre(*knee_centres(geometry, thetas))
+    assume(sin2 > 1e-20 and radius2 > 2 * geometry.r_e ** 2)
+    assert fk_outcome(forward_kinematics, geometry, thetas) is NoSolution
 
 
 def test_round_trip_pose_to_joints(g0):
