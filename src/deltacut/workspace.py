@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import mmap
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -42,6 +43,11 @@ PAIR_BUDGET = 32_768
 # scan tile bounds, so that the kernel's float64 temporaries stay a fixed
 # size whatever the grid; grid dumps are written in blocks of the same size.
 SLAB_CELLS = 262_144
+
+# Grid files of this many bytes or more are loaded into a mapping of their
+# own (see _file_buffer).  Smaller ones stay on the heap, where a scan's
+# freed float64 temporaries (8 * SLAB_CELLS bytes) leave them room.
+MAPPED_LOAD_BYTES = 1 << 20
 
 # The link fields _arm_kernel reads, as (m, 1) columns of m geometries.
 _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
@@ -364,16 +370,37 @@ def load_grid(path: str | Path) -> WorkspaceGrid:
     with open(path, "rb") as fh:
         # The flags are converted in place and the grid is a view of this
         # buffer, so a load allocates one grid-sized buffer, not two.
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
-        data += fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        data = _file_buffer(size)
+        got = fh.readinto(data)
+        rest = fh.read()
+    if got < size or rest:
+        # The file changed size while it was read, or has none (a pipe).
+        data = bytearray(data[:got]) + rest
     with naming(f"grid file {path}"):
         return _parse_grid(data)
 
 
-def _parse_grid(data: bytearray) -> WorkspaceGrid:
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _file_buffer(size: int):
+    """A writable buffer of size zero bytes.
+
+    On the malloc heap, whether a buffer the size of the 6 mm g0 grid
+    (3.4 MB) reused resident pages or faulted in 800 fresh ones hung on what
+    earlier calls had left free there, and its load time nearly doubled from
+    one process to the next.  A buffer of MAPPED_LOAD_BYTES or more
+    gets a private mapping instead: it always starts fresh, is populated in
+    one call where the system can, and goes back to the system with the grid.
+    """
+    if size < MAPPED_LOAD_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return bytearray(size)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return mmap.mmap(-1, size, flags=flags)
+
+
+def _parse_grid(data) -> WorkspaceGrid:
+    # find, not `in`: an mmap has no fast membership test.
+    if data.find(b"\r") >= 0:
+        data = bytearray(data).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     end = data.find(b"\n")
     if end < 0:
         end = len(data)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -204,6 +206,43 @@ def _dump_bytes(tmp_path, g0):
     return grid, path, path.read_bytes()
 
 
+@pytest.fixture(params=["heap", "mapped"])
+def load_buffer(request):
+    """load_grid reading into a heap buffer, then into a mapping of its own."""
+    if request.param == "heap":
+        yield
+    else:
+        with mock.patch.object(workspace, "MAPPED_LOAD_BYTES", 1):
+            yield
+
+
+@pytest.mark.usefixtures("load_buffer")
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_load_grid_reads_into_either_buffer(tmp_path, g0, ending):
+    grid, path, data = _dump_bytes(tmp_path, g0)
+    path.write_bytes(data.replace(b"\n", ending))
+    again = load_grid(path)
+    assert again.spec == grid.spec
+    assert np.array_equal(again.occupancy, grid.occupancy)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_grid_reads_a_file_with_no_size(tmp_path, g0):
+    # A pipe reports size 0, so the whole body comes from the read after
+    # the sized one.
+    grid, path, data = _dump_bytes(tmp_path, g0)
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data))
+    writer.start()
+    try:
+        again = load_grid(fifo)
+    finally:
+        writer.join()
+    assert again.spec == grid.spec
+    assert np.array_equal(again.occupancy, grid.occupancy)
+
+
 def test_load_grid_reads_crlf_line_endings(tmp_path, g0):
     grid, path, data = _dump_bytes(tmp_path, g0)
     path.write_bytes(data.replace(b"\n", b"\r\n"))
@@ -301,13 +340,14 @@ def test_dump_equals_the_per_row_writer(g0, grid, with_geometry, slab):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=grids(), slab=slabs)
-def test_load_grid_inverts_dump_grid(grid, slab):
+@given(grid=grids(), slab=slabs, mapped=st.booleans())
+def test_load_grid_inverts_dump_grid(grid, slab, mapped):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.txt"
         with mock.patch.object(workspace, "SLAB_CELLS", slab):
             dump_grid(grid, path)
-        again = load_grid(path)
+        with mock.patch.object(workspace, "MAPPED_LOAD_BYTES", 1 if mapped else 1 << 20):
+            again = load_grid(path)
     assert again.spec == grid.spec
     assert np.array_equal(again.occupancy, grid.occupancy)
 
