@@ -46,6 +46,10 @@ from .geometry import RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
 from .workspace import PrescribedWorkspace, coverage, coverage_links  # noqa: F401
 
+# Most genomes run_ga evolves.  A generation peaks at about 770 bytes per
+# genome (tracemalloc, 2**16 and 2**18 genomes), so a run stays under 1 GB.
+POPULATION_BUDGET = 2 ** 20
+
 INFEASIBLE_FITNESS = -1.0
 _BLEND_ALPHA = 0.1
 _BASELINE_STREAM = 0xBA5E
@@ -247,11 +251,13 @@ def run_ga(
 ) -> GaResult:
     """Evolve geometries against the prescribed workspace; deterministic."""
     cfg = config if config is not None else GaConfig()
+    pop_size = cfg.population_size
+    if pop_size > POPULATION_BUDGET:
+        raise ValueError(f"population_size is {pop_size}, budget is {POPULATION_BUDGET}")
     lo = bounds.lower()
     hi = bounds.upper()
     span = hi - lo
     sigma = cfg.mutation_sigma_fraction * span
-    pop_size = cfg.population_size
     elite = cfg.elitism_count
 
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.generations + 1)

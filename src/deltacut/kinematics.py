@@ -9,22 +9,25 @@ the knee with the smaller y (elbow out).  Forward kinematics steps from the
 circumcentre of the three shifted forearm sphere centres along their normal.
 
 _arm_kernel is the only place that solves an arm.  Its first stage,
-_plane_cut, reads only x and y; the closed forms of an arm's reach below the
-base plane read its floats too: the knee circle meets the forearm circle
-where w^2 <= 4 d^2 (r_f^2 + tol), and the knee folds inside the fold circle
-dy^2 + (z - r_f)^2 = rc2 when dy < 0.  _reach_verdict decides genome x point
-pairs by them, with no square root, and _arm_bounds solves them for z along
-a grid column.  Each decides only below the base plane and beyond a margin
-that covers its own rounding, the kernel's and the FOLD_SLACK wedge, so its
-verdicts are the kernel's own; the kernel decides the rest.  The kernel runs
-in numpy alone, on Python floats as numpy scalars or on arrays, where the
-link values may be arrays too; scalar IK, workspace scans, batch planning
-and batch GA fitness run this one code path.  It has no branches: clamps
-are maxima, a flag is added or xor-ed in, and the elbow-out branch is a sign
-factor of +1 or -1.  Joint angles always come from math.atan2, also for
-arrays: np.arctan2 can differ by one ulp and would move the frozen streams.
-Knee angles within a few ulps of THETA_MIN or THETA_MAX count as folded, so
-a rounded atan2 never lands on a joint-range end.
+_plane_cut, reads only x and y; the kernel is handed that cut and z, so a
+caller that holds a grid column's cut hands it on for every cell of the
+column, and _reachable ORs the three arms' flags.  The closed forms of an
+arm's reach below the base plane read the same cut: the knee circle meets
+the forearm circle where w^2 <= 4 d^2 (r_f^2 + tol), and the knee folds
+inside the fold circle dy^2 + (z - r_f)^2 = rc2 when dy < 0.  _reach_verdict
+decides genome x point pairs by them, with no square root, and _arm_bounds
+solves them for z along a grid column.  Each decides only below the base
+plane and beyond a margin that covers its own rounding, the kernel's and the
+FOLD_SLACK wedge, so its verdicts are the kernel's own; the kernel decides
+the rest.  The kernel runs in numpy alone, on Python floats as numpy scalars
+or on arrays, where the link values may be arrays too; scalar IK, workspace
+scans, batch planning and batch GA fitness run this one code path.  It has
+no branches: clamps are maxima, a flag is added or xor-ed in, and the
+elbow-out branch is a sign factor of +1 or -1.  Joint angles always come
+from math.atan2, also for arrays: np.arctan2 can differ by one ulp and would
+move the frozen streams.  Knee angles within a few ulps of THETA_MIN or
+THETA_MAX count as folded, so a rounded atan2 never lands on a joint-range
+end.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ REASONS = (
 
 
 def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
-    """The first stage of _arm_kernel, which reads only x and y.
+    """The first stage of an arm's solve, the cut _arm_kernel takes; it reads only x and y.
 
     The forearm sphere cut by the arm plane x = 0 is a circle of squared
     radius rc2, clamped at 0, about the projected platform joint, dy along y
@@ -96,10 +99,11 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int):
-    """Solve one arm for world poses (x, y, z), scalars or arrays alike.
+def _arm_kernel(geometry: RobotGeometry, cut, z):
+    """Solve one arm at heights z above its plane cut, scalars or arrays alike.
 
-    geometry supplies a, b, r_f and r_e: a RobotGeometry, or a record of
+    cut is _plane_cut's (plane_miss, rc2, dy, tol) for the arm and the poses'
+    x and y.  geometry supplies a and r_f: a RobotGeometry, or a record of
     arrays, such as (m, 1) columns that broadcast m geometries.
 
     Returns (flags, sin_c, cos_c): flags holds one failure flag per entry of
@@ -110,7 +114,7 @@ def _arm_kernel(geometry: RobotGeometry, x, y, z, arm_index: int):
     1e154 mm and up.
     """
     a, r_f = geometry.a, geometry.r_f
-    plane_miss, rc2, dy, tol = _plane_cut(geometry, x, y, arm_index)
+    plane_miss, rc2, dy, tol = cut
 
     # Circle 1: pivot (-a, 0), radius r_f.  Circle 2: (dy - a, z), radius
     # sqrt(rc2).  (dy, z) points from the pivot to the platform joint.
@@ -226,9 +230,9 @@ def _signed_sqrt(v):
     return np.copysign(np.sqrt(np.abs(v)), v)
 
 
-def _arm_bounds(geometry, rc2, dy, tol, scale2):
-    """One arm's reach below the base plane along columns whose plane cut is
-    rc2, dy, tol (_plane_cut); scale2 is the scan's length scale squared.
+def _arm_bounds(geometry, cut, scale2):
+    """One arm's reach below the base plane along columns whose plane cut
+    (_plane_cut) is cut; scale2 is the scan's length scale squared.
 
     The column-wise z-solve of _reach_verdict's two closed forms.  The kernel
     reads z only through d^2 = dy^2 + z^2 and the sign of z.  Below the base
@@ -245,6 +249,7 @@ def _arm_bounds(geometry, rc2, dy, tol, scale2):
       folded for dy < 0 inside the circle dy^2 + (z - r_f)^2 = rc2.
     """
     r_f = geometry.r_f
+    _, rc2, dy, tol = cut
     dy2 = dy * dy
     big = math.sqrt(r_f * r_f + tol)
     small = np.sqrt(rc2 + tol)
@@ -262,7 +267,8 @@ def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
     """Joint angles reaching the pose; raises Unreachable naming the arm."""
     thetas = []
     for arm in (1, 2, 3):
-        flags, sin_c, cos_c = _arm_kernel(geometry, pose.x, pose.y, pose.z, arm)
+        cut = _plane_cut(geometry, pose.x, pose.y, arm)
+        flags, sin_c, cos_c = _arm_kernel(geometry, cut, pose.z)
         if any(flags):
             raise Unreachable(arm, REASONS[flags.index(True)])
         thetas.append(math.atan2(sin_c, cos_c))
@@ -277,15 +283,21 @@ def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
 def reachable_mask(geometry: RobotGeometry, x, y, z) -> np.ndarray:
     """Exact reachability of the poses (x, y, z); the arrays broadcast, and
     so do the geometry's link fields when they are arrays (see _arm_kernel)."""
-    shape = np.broadcast_shapes(np.shape(geometry.a), np.shape(x), np.shape(y), np.shape(z))
-    bad = np.zeros(shape, dtype=bool)
-    for arm in (1, 2, 3):
+    cuts = (_plane_cut(geometry, x, y, arm) for arm in (1, 2, 3))
+    return _reachable(geometry, cuts, z)
+
+
+def _reachable(geometry, cuts, z) -> np.ndarray:
+    """Reachability at heights z above the three arms' plane cuts, taken from
+    the iterable cuts one arm at a time, so one arm's arrays are alive."""
+    bad = np.False_
+    for cut in cuts:
         # Keeping one arm's arrays until the next arm's call returns lets
         # glibc's default heap reuse their pages: 6.3 k against 9.9 k minor
         # faults, first 6 mm g0 scan in a process; 5.7 k against 5.5 k under
         # cli._keep_heap.
-        flags, *kept = _arm_kernel(geometry, x, y, z, arm)
-        bad |= flags[0] | flags[1] | flags[2] | flags[3]
+        flags, *kept = _arm_kernel(geometry, cut, z)
+        bad = bad | flags[0] | flags[1] | flags[2] | flags[3]
     return ~bad
 
 
@@ -299,7 +311,8 @@ def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
     joints = np.empty(points.shape, dtype=np.float64)
     bad = np.zeros(points.shape[0], dtype=bool)
     for arm in (1, 2, 3):
-        flags, sin_c, cos_c = _arm_kernel(geometry, x, y, z, arm)
+        cut = _plane_cut(geometry, x, y, arm)
+        flags, sin_c, cos_c = _arm_kernel(geometry, cut, z)
         bad |= flags[0] | flags[1] | flags[2] | flags[3]
         joints[:, arm - 1] = list(map(math.atan2, sin_c.tolist(), cos_c.tolist()))
     return joints, ~bad

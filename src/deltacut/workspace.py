@@ -3,17 +3,18 @@
 Reachability is always an exact per-point test; a grid only decides where
 the test runs (cell centres).  Both scans and coverage decide most points
 below the base plane from the closed forms of an arm's reach in kinematics,
-and run the one arm kernel that scalar inverse kinematics also runs
-(kinematics.reachable_mask) on the points at or above the plane and where
-those forms are within rounding of a verdict change.  A grid scan decides
-the interior of each column's reachable run, and the cells far outside it,
-from closed-form z-bounds (kinematics._arm_bounds) on the kernel's own first
-stage, kinematics._plane_cut; the kernel decides the bands about the run
-ends.  Coverage decides each geometry x point pair by
-kinematics._reach_verdict and hands the kernel whole each block where the
-verdict leaves a pair open.  So a scan equals a kernel call on every cell
-bit for bit, coverage counts are the kernel's own, and grid scans, coverage
-fractions and kinematics.is_reachable never disagree on a point.
+and run the one arm kernel that scalar inverse kinematics also runs on the
+points at or above the plane and where those forms are within rounding of a
+verdict change.  A grid scan cuts each column's arm planes once
+(kinematics._plane_cut), decides the interior of each column's reachable
+run, and the cells far outside it, from closed-form z-bounds on that cut
+(kinematics._arm_bounds), and hands the kernel (kinematics._reachable) the
+bands about the run ends with their columns' cuts.  Coverage decides each
+geometry x point pair by kinematics._reach_verdict and hands the kernel
+(kinematics.reachable_mask) whole each block where the verdict leaves a
+pair open.  So a scan equals a kernel call on every cell bit for bit,
+coverage counts are the kernel's own, and grid scans, coverage fractions
+and kinematics.is_reachable never disagree on a point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
 from .geometry import RobotGeometry
-from .kinematics import _TINY, _arm_bounds, _plane_cut, _reach_verdict, reachable_mask
+from .kinematics import _TINY, _arm_bounds, _plane_cut, _reach_verdict, _reachable, reachable_mask
 
 CELL_BUDGET = 100_000_000
 
@@ -167,19 +168,20 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     """Scan the grid; each flag is the exact reachability of the cell centre.
 
     The (y, x) plane is cut into tiles of at most SLAB_CELLS columns, the
-    blocks _blocks gives for a single z layer.  Along each column every arm
-    reaches one z-interval below the base plane, in closed form
-    (kinematics._arm_bounds), so the column's reachable cells below the
-    plane are at most one run.  A cell below z = -kinematics._TINY further
-    than a margin inside every arm's interval is True, and one further than
-    the margin outside some arm's interval is False.  The margin is at least
-    one cell and covers the rounding of the bounds and of the kernel, so
-    those verdicts are the kernel's own.  The kernel decides the cells left,
-    the bands about the run ends and every cell from z = -_TINY up, in
-    blocks of at most SLAB_CELLS cells; a column whose margin is not finite,
-    near a tangent plane cut, runs through it whole.  The flags therefore
-    equal a kernel call on every cell bit for bit, and peak memory is the
-    occupancy plus a fixed tile's temporaries.
+    blocks _blocks gives for a single z layer.  Each arm's plane is cut once
+    per column (kinematics._plane_cut); the closed forms and the kernel read
+    that cut.  Along each column every arm reaches one z-interval below the
+    base plane, in closed form (kinematics._arm_bounds), so the column's
+    reachable cells below the plane are at most one run.  A cell below
+    z = -kinematics._TINY further than a margin inside every arm's interval
+    is True, and one further than the margin outside some arm's interval is
+    False.  The margin is at least one cell and covers the rounding of the
+    bounds and of the kernel, so those verdicts are the kernel's own.  The
+    kernel decides the cells left, the bands about the run ends and every
+    cell from z = -_TINY up, in blocks of at most SLAB_CELLS cells; a column
+    whose margin is not finite, near a tangent plane cut, runs through it
+    whole.  The flags therefore equal a kernel call on every cell bit for
+    bit, and peak memory is the occupancy plus a fixed tile's temporaries.
     """
     nx, ny, nz = spec.dims
     x = spec.axis_centers("x")
@@ -196,16 +198,13 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     extent = (geometry.r_f + geometry.r_e + abs(geometry.a) + abs(geometry.b)
               + sum(max(abs(c[0]), abs(c[-1])) for c in (x, y, z)))
     for _, ys, xs in _blocks(nx, ny, 1):
-        xt, yt = np.broadcast_arrays(x[xs], y[ys, None])
-        cuts = [_plane_cut(geometry, xt, yt, arm) for arm in (1, 2, 3)]
+        cuts = [_plane_cut(geometry, x[xs], y[ys, None], arm) for arm in (1, 2, 3)]
         iy, ix = np.nonzero(~(cuts[0][0] | cuts[1][0] | cuts[2][0]))
         if iy.size == 0:
             continue
-        xl = xt[iy, ix]
-        yl = yt[iy, ix]
-        per_arm = zip(*[_arm_bounds(geometry, rc2[iy, ix], dy[iy, ix], tol, extent * extent)
-                        for _, rc2, dy, tol in cuts])
-        del cuts
+        # Each live column's cut, one entry per column.
+        cuts = [(miss[iy, ix], rc2[iy, ix], dy[iy, ix], tol) for miss, rc2, dy, tol in cuts]
+        per_arm = zip(*[_arm_bounds(geometry, cut, extent * extent) for cut in cuts])
         # Every arm must reach a cell: the intervals intersect, -z in [lo, hi].
         lo, hi, err = (functools.reduce(op, arms)
                        for op, arms in zip((np.maximum, np.minimum, np.maximum), per_arm))
@@ -226,7 +225,9 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
         column = np.tile(np.arange(iy.size), 3)
         keep = stops > starts
         for cell, iz in _range_cells(column[keep], starts[keep], stops[keep] - starts[keep]):
-            tile[iz, iy[cell], ix[cell]] = reachable_mask(geometry, xl[cell], yl[cell], z[iz])
+            # Gathered one arm at a time, so one arm's gather is alive.
+            arms = ((miss[cell], rc2[cell], dy[cell], tol) for miss, rc2, dy, tol in cuts)
+            tile[iz, iy[cell], ix[cell]] = _reachable(geometry, arms, z[iz])
     return WorkspaceGrid(spec=spec, occupancy=occupancy)
 
 

@@ -798,7 +798,8 @@ def plane_cut_unclamped(geometry, x, y, arm_index: int):
 
 
 def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
-    """kinematics._arm_kernel with selects: (np.sqrt, np.where) or (math.sqrt, pick)."""
+    """kinematics._arm_kernel on world poses behind a plane stage of its own
+    (plane_cut_unclamped), with selects: (np.sqrt, np.where) or (math.sqrt, pick)."""
     a = geometry.a
     b = geometry.b
     r_f = geometry.r_f

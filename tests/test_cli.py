@@ -10,6 +10,7 @@ from deltacut import (
     inverse_kinematics,
     load_grid,
 )
+from deltacut import design_opt
 from deltacut.cli import app
 
 
@@ -231,6 +232,22 @@ def test_plan_over_the_sample_budget_is_a_usage_error(capsys, fixtures_dir, tmp_
     assert captured.out == "" and not out.exists()
     assert captured.err.splitlines()[-1] == (
         f"ValueError: program needs {need}, budget is {SAMPLE_BUDGET}")
+
+
+def test_optimize_over_the_population_budget_is_a_usage_error(capsys, fixtures_dir, tmp_path):
+    # GaConfig admits populations up to 2**32; run_ga refuses them before it
+    # allocates a genome, where it once died allocating 128 GiB.
+    config = tmp_path / "ga.json"
+    config.write_text(json.dumps({"population_size": 2 ** 32, "generations": 0}))
+    out = tmp_path / "out.json"
+    assert app(["optimize", "--bounds", str(fixtures_dir / "bounds.json"),
+                "--prescribed", str(fixtures_dir / "recovery_points.json"),
+                "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"ValueError: population_size is {2 ** 32}, budget is {design_opt.POPULATION_BUDGET}")
 
 
 def test_plan_past_the_float_range_is_a_usage_error(capsys, fixtures_dir, tmp_path):

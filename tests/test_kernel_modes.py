@@ -47,7 +47,8 @@ from deltacut import (
 )
 from deltacut import design_opt, kinematics, workspace
 from deltacut.design_opt import population_fitness
-from deltacut.kinematics import _arm_kernel, inverse_kinematics_many, reachable_mask
+from deltacut.kinematics import (_arm_kernel, _plane_cut, _reachable, inverse_kinematics_many,
+                                 reachable_mask)
 import oracles
 from oracles import arm_kernel_selects, pick, scan_live_columns
 
@@ -84,6 +85,11 @@ poses = st.one_of(
 )
 any_geometry = st.one_of(st.just(G0), geometries())
 pose_lists = st.lists(poses, min_size=1, max_size=30)
+
+
+def arm_kernel(links, x, y, z, arm):
+    """One arm's kernel on world poses: its plane cut, then the kernel."""
+    return _arm_kernel(links, _plane_cut(links, x, y, arm), z)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,7 +185,7 @@ def canonical_bits(values):
 def test_kernel_without_selects_equals_the_select_kernel(cases, arm):
     # On Python floats, one case at a time.
     for links, (x, y, z) in cases:
-        got = _arm_kernel(links, x, y, z, arm)
+        got = arm_kernel(links, x, y, z, arm)
         want = arm_kernel_selects(links, x, y, z, arm, math.sqrt, pick)
         assert got[0] == want[0]
         assert canonical_bits(got[1:]) == canonical_bits(want[1:])
@@ -187,7 +193,7 @@ def test_kernel_without_selects_equals_the_select_kernel(cases, arm):
     links = Links(*(np.array(v) for v in zip(*(c[0] for c in cases))))
     x, y, z = (np.array(v) for v in zip(*(c[1] for c in cases)))
     with np.errstate(all="ignore"):
-        got = _arm_kernel(links, x, y, z, arm)
+        got = arm_kernel(links, x, y, z, arm)
         want = arm_kernel_selects(links, x, y, z, arm, np.sqrt, np.where)
     for g, w in zip(got[0], want[0]):
         assert g.dtype == bool and g.tolist() == w.tolist()
@@ -205,15 +211,19 @@ def grid_specs(draw):
 
 
 def scan_with_spy(geometry, spec, slab):
-    """compute_workspace's occupancy, and the cell count of each reachable_mask call."""
+    """compute_workspace's occupancy, and the cell count of each kernel call
+    (workspace._reachable), which takes one plane cut per arm."""
     sizes = []
 
-    def spy(geometry, x, y, z):
-        sizes.append(math.prod(np.broadcast_shapes(x.shape, y.shape, z.shape)))
-        return reachable_mask(geometry, x, y, z)
+    def spy(geometry, cuts, z):
+        cuts = list(cuts)
+        assert len(cuts) == 3
+        shapes = [np.shape(v) for cut in cuts for v in cut]
+        sizes.append(math.prod(np.broadcast_shapes(np.shape(z), *shapes)))
+        return _reachable(geometry, cuts, z)
 
     with mock.patch.object(workspace, "SLAB_CELLS", slab), \
-            mock.patch.object(workspace, "reachable_mask", spy):
+            mock.patch.object(workspace, "_reachable", spy):
         return compute_workspace(geometry, spec).occupancy, sizes
 
 
@@ -237,7 +247,7 @@ def test_block_scan_equals_one_kernel_call(geometry, spec, data):
     # reaches: those no arm flags as a plane miss in one whole-grid call.
     miss = np.zeros((1, ny, nx), dtype=bool)
     for arm in (1, 2, 3):
-        miss |= _arm_kernel(geometry, x, y, z, arm)[0][0]
+        miss |= arm_kernel(geometry, x, y, z, arm)[0][0]
     live_columns = np.count_nonzero(~miss)
     got, sizes = scan_with_spy(geometry, spec, slab)
     assert np.array_equal(got, want)
@@ -283,28 +293,37 @@ def test_default_scan_tests_few_cells_per_live_column():
 
 
 def test_plane_stage_sees_each_column_once_per_arm():
-    # A thin box of live columns that lies inside the workspace: the scan
-    # cuts each column's planes once, and no cell is left for the kernel.
-    spec = GridSpec(-100.0, 100.0, -100.0, 100.0, -300.5, -299.5, 0.5)
-    seen = {1: [], 2: [], 3: []}
-    plane_cut = kinematics._plane_cut
+    # The kernel takes each cell's column cut from the column stage, so the
+    # scan cuts each column's planes once, whatever cells it leaves to the
+    # kernel: none in a thin box of live columns inside the workspace, and
+    # in the 6 mm default box the bands about the run ends and a top layer
+    # centred at z = +1 mm.
+    thin = GridSpec(-100.0, 100.0, -100.0, 100.0, -300.5, -299.5, 0.5)
+    for spec, cells, kernel_cells in ((thin, None, 0),
+                                      (default_grid_spec(G0, 6.0), 450_406, 57_580)):
+        seen = {1: [], 2: [], 3: []}
+        plane_cut = kinematics._plane_cut
 
-    def spy(geometry, x, y, arm_index):
-        xb, yb = np.broadcast_arrays(x, y)
-        seen[arm_index].append(np.stack([xb.ravel(), yb.ravel()], axis=1))
-        return plane_cut(geometry, x, y, arm_index)
+        def spy(geometry, x, y, arm_index):
+            xb, yb = np.broadcast_arrays(x, y)
+            seen[arm_index].append(np.stack([xb.ravel(), yb.ravel()], axis=1))
+            return plane_cut(geometry, x, y, arm_index)
 
-    with mock.patch.object(kinematics, "_plane_cut", spy), \
-            mock.patch.object(workspace, "_plane_cut", spy):
-        got, sizes = scan_with_spy(G0, spec, workspace.SLAB_CELLS)
-    assert got.all() and sizes == []
-    nx, ny, nz = spec.dims
-    x, y = np.meshgrid(spec.axis_centers("x"), spec.axis_centers("y"))
-    columns = np.unique(np.stack([x.ravel(), y.ravel()], axis=1), axis=0)
-    for arm in (1, 2, 3):
-        pairs = np.concatenate(seen[arm])
-        assert len(pairs) == nx * ny
-        assert np.array_equal(np.unique(pairs, axis=0), columns)
+        with mock.patch.object(kinematics, "_plane_cut", spy), \
+                mock.patch.object(workspace, "_plane_cut", spy):
+            got, sizes = scan_with_spy(G0, spec, workspace.SLAB_CELLS)
+        if cells is None:
+            assert got.all() and sizes == []
+        else:
+            assert got.sum() == cells
+        assert sum(sizes) == kernel_cells
+        nx, ny, nz = spec.dims
+        x, y = np.meshgrid(spec.axis_centers("x"), spec.axis_centers("y"))
+        columns = np.unique(np.stack([x.ravel(), y.ravel()], axis=1), axis=0)
+        for arm in (1, 2, 3):
+            pairs = np.concatenate(seen[arm])
+            assert len(pairs) == nx * ny
+            assert np.array_equal(np.unique(pairs, axis=0), columns)
 
 
 @st.composite
@@ -542,7 +561,7 @@ def kernel_edge(links, arm, point, axis):
 
     def misses(value):
         point[axis] = value
-        return any(_arm_kernel(links, *point, arm)[0])
+        return any(arm_kernel(links, *point, arm)[0])
 
     start = point[axis]
     scale = abs(start) + links.r_f + links.r_e + abs(links.a - links.b)

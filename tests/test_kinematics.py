@@ -235,7 +235,11 @@ def collinear_triples(geometry, theta1):
     offset = geometry.a - geometry.b
 
     def miss(theta3):
-        s, z = arm2_plane_point(geometry, theta1, theta3)
+        try:
+            s, z = arm2_plane_point(geometry, theta1, theta3)
+        except ZeroDivisionError:
+            # The line runs parallel to the plane, so it crosses no circle.
+            return math.inf
         return (s + offset) ** 2 + z * z - geometry.r_f ** 2
 
     grid = np.linspace(THETA_MIN, THETA_MAX, 61)[1:-1].tolist()
@@ -396,7 +400,8 @@ def test_fully_stretched_boundary(g0):
 
 def test_arm_kernel_puts_the_knee_on_the_upper_arm_circle(g0):
     # The knee sits at arm-frame (y, z) = (-a - cos_c, -sin_c).
-    flags, sin_c, cos_c = kinematics._arm_kernel(g0, 20.0, -15.0, -320.0, 2)
+    cut = kinematics._plane_cut(g0, 20.0, -15.0, 2)
+    flags, sin_c, cos_c = kinematics._arm_kernel(g0, cut, -320.0)
     assert not any(flags)
     assert abs(math.hypot(cos_c, sin_c) - g0.r_f) < 1e-9
 
