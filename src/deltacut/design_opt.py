@@ -29,8 +29,8 @@ once per generation, with the same IEEE operations per gene.
 Fitness evaluation consumes no randomness, so evaluation order cannot
 perturb results; each generation's children are scored by one
 population_fitness call, and the elites keep the fitness they had.
-The uniform random-search baseline draws all its genomes at once from
-SeedSequence([seed, _BASELINE_STREAM]) and scores them in batches.
+The uniform random-search baseline draws and scores POPULATION_BUDGET
+genomes at a time from SeedSequence([seed, _BASELINE_STREAM]).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from .geometry import RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
 from .workspace import PrescribedWorkspace, coverage, coverage_links  # noqa: F401
 
-# Most genomes run_ga evolves.  A generation peaks at about 770 bytes per
-# genome (tracemalloc, 2**16 and 2**18 genomes), so a run stays under 1 GB.
+# Most genomes run_ga evolves, and random_search draws and scores at once.
+# A generation peaks at about 770 bytes per genome (tracemalloc, 2**16 and
+# 2**18 genomes), so a run stays under 1 GB.
 POPULATION_BUDGET = 2 ** 20
 
 INFEASIBLE_FITNESS = -1.0
@@ -323,12 +324,16 @@ def random_search(
     """Equal-budget uniform baseline; returns (best genome, best fitness)."""
     as_count("evaluations", evaluations, 1)
     rng = np.random.default_rng(np.random.SeedSequence([_as_seed(seed), _BASELINE_STREAM]))
-    # One draw of all rows gives the same stream as one draw per genome.
-    genomes = rng.uniform(bounds.lower(), bounds.upper(), size=(evaluations, 4))
-    fits = population_fitness(genomes, prescribed, size_penalty_weight, bounds)
-    # The first maximum wins, as if genomes were scored one by one.
-    i = int(fits.argmax())
-    return genomes[i].copy(), float(fits[i])
+    best, best_fit = None, -math.inf
+    # One draw per block of rows gives the same stream as one draw per genome,
+    # and the first maximum wins, as if genomes were scored one by one.
+    for start in range(0, evaluations, POPULATION_BUDGET):
+        size = (min(POPULATION_BUDGET, evaluations - start), 4)
+        genomes = rng.uniform(bounds.lower(), bounds.upper(), size=size)
+        fits = population_fitness(genomes, prescribed, size_penalty_weight, bounds)
+        if (fit := fits.max()) > best_fit:
+            best, best_fit = genomes[fits.argmax()].copy(), float(fit)
+    return best, best_fit
 
 
 def load_bounds(path: str | Path) -> DesignBounds:

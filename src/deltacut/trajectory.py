@@ -24,14 +24,15 @@ output is exact for every finite value.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -41,13 +42,17 @@ from .geometry import Pose, RobotGeometry
 from .kinematics import inverse_kinematics, inverse_kinematics_many
 
 _CSV_HEADER = ("t", "x", "y", "z", "theta1", "theta2", "theta3", "laser")
+# One stream CSV row as np.loadtxt parses it: t, the pose and the joints,
+# then the laser flag.
+_CSV_ROW = np.dtype([("v", np.float64, (7,)), ("l", np.int8)])
 _ARC_RADIUS_TOL = 1e-6
 _FULL_CIRCLE_TOL = 1e-9
 
-# Most stream CSV lines read_stream_csv parses, and write_stream_csv formats,
-# at once, so that their temporaries stay a fixed size whatever the stream
-# length: about 3 MB to read a block and 4 MB to write one (tracemalloc).
-# Either side takes as long per row at 2,048 as at 4,096.
+# Most stream CSV rows write_stream_csv formats, and read_stream_csv's line
+# by line path parses, at once, so that their temporaries stay a fixed size
+# whatever the stream length: about 4 MB to write a block and 2 MB to read
+# one (tracemalloc).  Either side takes as long per row at 2,048 as at 4,096.
+# np.loadtxt, which reads every other file, sizes its own chunks.
 STREAM_BLOCK_ROWS = 2048
 
 # Most samples plan_program plans for one program.  Its peak is about 270
@@ -257,7 +262,7 @@ class SetpointStream:
             raise InvalidStream("stream has no samples")
         if t.ndim != 1 or poses.shape != (n, 3) or joints.shape != (n, 3) or laser.shape != (n,):
             raise InvalidStream("stream arrays have inconsistent shapes")
-        if not (np.diff(t) > 0.0).all():
+        if not (t[1:] > t[:-1]).all():
             raise InvalidStream("timestamps must be strictly increasing")
         for arr, name in ((t, "t"), (poses, "poses"), (joints, "joints")):
             if not np.isfinite(arr).all():
@@ -555,22 +560,24 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
     """Read a stream written by write_stream_csv.
 
     Lines end at LF, CRLF or a lone CR (universal newlines turn each into
-    LF), and blank lines are skipped.  The rows are parsed STREAM_BLOCK_ROWS
-    lines at a time into arrays sized by one count of the file's line ends,
-    so memory beyond the result stays a fixed size.  A block is split and
-    converted in one pass; when any line of it is bad, _raise_bad_line
-    makes the same float() and int() calls line by line and names the first
-    bad one.
+    LF), and blank lines are skipped.  One np.loadtxt call parses the rows
+    in C into one record array, which the stream's arrays view.  A file it
+    refuses or warns on, whose values fail the stream's checks, or that
+    holds a byte 0x1C-0x1F (numpy strips these, float() refuses them), is
+    read again by _parse_lines, STREAM_BLOCK_ROWS lines at a time, into an
+    array sized by one count of the file's line ends.
     """
     with open(path, "rb") as raw:
         # Line ends, at least the data rows: each LF, and each CR not
         # followed by LF in the same chunk (a CRLF split across two chunks
-        # counts twice, which only over-sizes the arrays).
-        cap = 0
+        # counts twice, which only over-sizes the array).
+        cap, separators = 0, False
         for chunk in iter(lambda: raw.read(1 << 20), b""):
             cap += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
             if b"\r" in chunk:
                 cap += chunk.count(b"\r") - chunk.count(b"\r\n")
+            separators = separators or any(
+                c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
         raw.seek(0)
         fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
         header = fh.readline()
@@ -580,56 +587,41 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
             raise InvalidStream(
                 f"stream file {path}: header must be {','.join(_CSV_HEADER)}"
             )
-        t, poses, joints = np.empty(cap), np.empty((cap, 3)), np.empty((cap, 3))
-        laser = np.empty(cap, dtype=bool)
-        n, ln, prev_t = 0, 2, -math.inf
+        if not separators:
+            # As errors: "input contained no data", and before numpy 2.0 a
+            # float in the integer column.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    record = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                        dtype=_CSV_ROW)
+                except (ValueError, Warning):
+                    record = None
+            if record is not None and (record["l"].view(np.uint8) <= 1).all():
+                v = record["v"]
+                # A non-finite value or a time not above the one before it.
+                with contextlib.suppress(InvalidStream):
+                    return SetpointStream(t=v[:, 0], poses=v[:, 1:4], joints=v[:, 4:7],
+                                          laser=record["l"].view(bool))
+            fh.seek(0)
+            fh.readline()
+        table, n, ln, prev_t = np.empty((cap, 8)), 0, 2, -math.inf
         while lines := list(islice(fh, STREAM_BLOCK_ROWS)):
-            rows = [line for line in lines if line != "\n"] if "\n" in lines else lines
-            if rows:
-                block = _parse_block(rows, prev_t)
-                if block is None:
-                    _raise_bad_line(path, lines, ln, prev_t)
-                values, flags = block
-                m = n + len(rows)
-                t[n:m], poses[n:m], joints[n:m] = values[:, 0], values[:, 1:4], values[:, 4:7]
-                laser[n:m] = flags
-                n, prev_t = m, values[-1, 0]
+            if rows := _parse_lines(path, lines, ln, prev_t):
+                table[n:n + len(rows)] = rows
+                n, prev_t = n + len(rows), rows[-1][0]
             ln += len(lines)
     if n == 0:
         raise InvalidStream(f"stream file {path} has no samples")
-    for arr in (t, poses, joints, laser):
-        arr.resize((n,) + arr.shape[1:], refcheck=False)
-    return SetpointStream(t=t, poses=poses, joints=joints, laser=laser)
+    table.resize((n, 8), refcheck=False)
+    return SetpointStream(t=table[:, 0], poses=table[:, 1:4], joints=table[:, 4:7],
+                          laser=table[:, 7])
 
 
-def _parse_block(rows: list[str], prev_t: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (k, 7) values and k laser flags of k non-blank lines, or None.
-
-    None when any line has the wrong field count, a field float() or int()
-    refuses, a laser flag other than 0 or 1, a non-finite value, or a time
-    not above the one before it (prev_t for the first line).  The lines keep
-    their LF, which int() strips from the laser field.
-    """
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
-    if (commas != 7).any():
-        return None
-    fields = ",".join(rows).split(",")
-    flags = fields[7::8]
-    del fields[7::8]
-    try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields)).reshape(-1, 7)
-        flags = np.fromiter(map(int, flags), np.int64, len(flags))
-    except (ValueError, OverflowError):  # OverflowError: a flag beyond int64
-        return None
-    t = values[:, 0]
-    if (flags.min() < 0 or flags.max() > 1 or not np.isfinite(values).all()
-            or not t[0] > prev_t or not (t[1:] > t[:-1]).all()):
-        return None
-    return values, flags
-
-
-def _raise_bad_line(path, lines: list[str], first: int, prev_t: float) -> NoReturn:
-    """Raise InvalidStream naming the first bad line of a block from line first."""
+def _parse_lines(path, lines: list[str], first: int, prev_t: float) -> list[list[float]]:
+    """The values and laser flag of each non-blank line of a block from line
+    first, by float() and int(); InvalidStream names the first bad line."""
+    rows = []
     for ln, line in enumerate(lines, start=first):
         row = line.rstrip("\n").split(",")
         if row == [""]:
@@ -650,7 +642,8 @@ def _raise_bad_line(path, lines: list[str], first: int, prev_t: float) -> NoRetu
         if not values[0] > prev_t:
             raise InvalidStream(f"{where}: timestamps must be strictly increasing")
         prev_t = values[0]
-    raise AssertionError(f"stream file {path}: no bad line in the block from line {first}")
+        rows.append(values + [flag])
+    return rows
 
 
 def load_program(path: str | Path) -> CutProgram:

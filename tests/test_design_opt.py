@@ -22,7 +22,7 @@ from deltacut import (
     random_search,
     run_ga,
 )
-from deltacut import workspace
+from deltacut import design_opt, workspace
 from deltacut.design_opt import _draw_slots, population_fitness
 from oracles import draw_slots_numpy, fitness_per_genome, run_ga_slots
 
@@ -377,3 +377,28 @@ def test_population_fitness_equals_the_per_genome_path(population, weight, budge
         got = population_fitness(population, points, weight, small_bounds())
         want = fitness_per_genome(population, points, weight, small_bounds())
     assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("budget", [1, 7, 59])
+def test_random_search_in_blocks_equals_one_block(budget):
+    bounds, points = small_bounds(), small_points()
+    want = random_search(bounds, points, 60, 0.05, seed=9)
+    with mock.patch.object(design_opt, "POPULATION_BUDGET", budget):
+        got = random_search(bounds, points, 60, 0.05, seed=9)
+    assert (got[0].tobytes(), got[1].hex()) == (want[0].tobytes(), want[1].hex())
+
+
+def test_random_search_memory_stops_growing_past_the_budget():
+    bounds, points = small_bounds(), small_points()
+    peaks = []
+    with mock.patch.object(design_opt, "POPULATION_BUDGET", 64):
+        random_search(bounds, points, 64, 0.05, seed=9)  # first-use caches
+        for evaluations in (256, 4096):
+            tracemalloc.start()
+            try:
+                random_search(bounds, points, evaluations, 0.05, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    # Drawing all 4,096 genomes at once peaked 2.7 MB above 256 of them.
+    assert peaks[1] < peaks[0] + 50_000

@@ -1,6 +1,7 @@
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -599,8 +600,34 @@ def test_stream_read_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     result = sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
-    # Blocks of STREAM_BLOCK_ROWS lines take about 3 MB whatever the row
-    # count; the row-by-row reader peaked at 86 MB on this file.
+    # The np.loadtxt pass takes about 3 MB beyond the result here, as blocks
+    # of STREAM_BLOCK_ROWS lines did; the row-by-row reader peaked at 86 MB.
+    assert peak < result + 6 * 2**20
+
+
+def test_line_by_line_read_memory_is_bounded(tmp_path):
+    path = tmp_path / "long.csv"
+    stream = long_stream(50_000)
+    write_stream_csv(stream, path)
+    # A digit underscore, which np.loadtxt refuses, on the second row.
+    path.write_text(path.read_text().replace("\n0.0025", "\n0.002_5", 1))
+    parse, blocks = trajectory._parse_lines, []
+
+    def walk(path, lines, first, prev_t):
+        blocks.append(first)  # a Mock would keep every block's lines
+        return parse(path, lines, first, prev_t)
+
+    with mock.patch.object(trajectory, "_parse_lines", walk):
+        tracemalloc.start()
+        try:
+            got = read_stream_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(blocks) == -(-50_000 // trajectory.STREAM_BLOCK_ROWS)
+    for name in ("t", "poses", "joints", "laser"):
+        assert bits(getattr(got, name)) == bits(getattr(stream, name)), name
+    result = sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
     assert peak < result + 6 * 2**20
 
 
@@ -617,27 +644,95 @@ def test_stream_write_memory_is_bounded(tmp_path):
     assert peak < 6 * 2**20
 
 
+def test_written_streams_never_take_the_line_by_line_path(g0, fixtures_dir, tmp_path):
+    streams = [plan_program(g0, load_program(fixtures_dir / f"programs/{name}.json"))
+               for name in ("circle50", "line100", "multi")]
+    streams += [hard_stream(), long_stream(5000)]
+    with mock.patch.object(trajectory, "_parse_lines", wraps=trajectory._parse_lines) as walk:
+        for i, stream in enumerate(streams):
+            path = tmp_path / f"{i}.csv"
+            write_stream_csv(stream, path)
+            got = read_stream_csv(path)
+            for name in ("t", "poses", "joints", "laser"):
+                assert bits(getattr(got, name)) == bits(getattr(stream, name)), (i, name)
+    walk.assert_not_called()
+
+
+def test_read_arrays_are_read_only_views_of_one_record_array(g0, tmp_path):
+    path = tmp_path / "stream.csv"
+    write_stream_csv(plan_program(g0, line_program()), path)
+    got = read_stream_csv(path)
+    arrays = [got.t, got.poses, got.joints, got.laser]
+    assert all(a.base is arrays[0].base and not a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\r\n\r", "\n\n\n"])
+def test_a_file_with_no_rows_is_refused_without_a_warning(body):
+    text = ",".join(trajectory._CSV_HEADER) + "\n" + body
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = read_both(text, 7)
+    assert got == want
+    assert got[0] is InvalidStream and got[1].endswith(" has no samples"), got
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, want = read_both(text, 7)
+    assert got == want
+    assert not caught
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+@pytest.mark.parametrize("column", [0, 3, 7])
+def test_a_unit_separator_at_a_field_end_is_refused(separator, column):
+    # np.loadtxt strips these four as whitespace; float() and int() refuse them.
+    fields = ["0", "0", "0", "-300", "0", "0", "0", "1"]
+    fields[column] += separator
+    got, want = read_both(",".join(trajectory._CSV_HEADER) + "\n" + ",".join(fields) + "\n", 7)
+    assert got == want
+    assert got[0] is InvalidStream and ": line 2: " in got[1], got
+
+
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 # float() and int() strip \x0b, \x0c, \x85, \u2028 and \u2029 but refuse
-# \x1c-\x1e; none of them ends a line, though str.splitlines() splits on all.
+# \x1c-\x1f; none of them ends a line, though str.splitlines() splits on all.
 # "\udcff" is written as the lone byte 0xFF, which is not UTF-8.
-ODD = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
-                       "\udcff"])
-BAD_NUMBERS = st.sampled_from(["x", "", "1.5.2", "0x10", "1e", "--1", "1 2", "\x1c", "NaNx"])
+ODD = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028",
+                       "\u2029", "\udcff"])
+BAD_NUMBERS = st.sampled_from(["x", "", "1.5.2", "0x10", "1e", "--1", "1 2", "\x1c", "\x1f",
+                               "NaNx"])
 BAD_FLAGS = st.sampled_from(["2", "x", "01", "-1", "1.0", " 1 ", "", "9" * 25, "True", "0\x0c"])
 
 
 @st.composite
 def data_lines(draw):
-    """The data lines of a valid stream, its fields padded with whitespace."""
+    """The data lines of a valid stream, its fields padded with whitespace
+    and now and then spelled as only float() and int() take them."""
     stream = draw(raw_streams())
     table = np.column_stack((stream.t, stream.poses, stream.joints)).tolist()
-    pad = st.sampled_from(["", " ", "  ", "\x0c", "\u2028"])
+    pad = st.sampled_from(["", " ", "  ", "\x0c", "\u2028", "\xa0", "\u3000"])
     lines = []
     for row, flag in zip(table, stream.laser.tolist()):
         fields = [draw(st.sampled_from([repr, "%.17g".__mod__]))(v) for v in row]
-        lines.append([draw(pad) + f + draw(pad) for f in fields + [str(int(flag))]])
+        fields = [draw(exact_only_spellings(f)) for f in fields + [str(int(flag))]]
+        lines.append([draw(pad) + f + draw(pad) for f in fields])
     return lines
+
+
+@st.composite
+def exact_only_spellings(draw, field):
+    """The field as it is, or with a "_" between two of its digits or one
+    digit in Arabic-Indic, which np.loadtxt refuses and float() and int()
+    take."""
+    kind = draw(st.sampled_from(["", "", "", "", "_", "arabic"]))
+    if kind == "_":
+        gaps = [k for k in range(1, len(field)) if field[k - 1:k + 1].isdigit()]
+        if gaps:
+            k = draw(st.sampled_from(gaps))
+            return field[:k] + "_" + field[k:]
+    elif kind == "arabic":
+        k = draw(st.sampled_from([k for k, c in enumerate(field) if c.isdigit()]))
+        return field[:k] + chr(0x660 + int(field[k])) + field[k + 1:]
+    return field
 
 
 @st.composite
