@@ -80,6 +80,7 @@ REASONS = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     """The first stage of an arm's solve, the cut _arm_kernel takes; it reads only x and y.
 
@@ -87,6 +88,8 @@ def _plane_cut(geometry: RobotGeometry, x, y, arm_index: int):
     radius rc2, clamped at 0, about the projected platform joint, dy along y
     from the pivot.  Returns (plane_miss, rc2, dy, tol): plane_miss flags
     where rc2 is below the tangent tolerance tol, so the circle is empty.
+    Overflow and the NaN it leads to count as misses, silently, here or in
+    _arm_kernel.
     """
     r_e = geometry.r_e
     tol = DISC_TOL_FRAC * (r_e * r_e)

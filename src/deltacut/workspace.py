@@ -92,6 +92,11 @@ class GridSpec:
             raise CellBudgetExceeded(
                 f"grid would hold {nx * ny * nz} cells, budget is {CELL_BUDGET}"
             )
+        # volume_estimate's product, with every cell occupied; * rather than
+        # **, which raises OverflowError on floats.
+        r = self.resolution
+        if not math.isfinite(nx * ny * nz * (r * r * r)):
+            raise ValueError(f"resolution={r!r} is too large: the grid's volume overflows")
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,15 @@ def kv(text):
             key, _, value = line.partition("=")
             out[key] = value
     return out
+
+
+def run_cli(*argv):
+    """The command line in a fresh interpreter, whose stderr shows numpy's
+    warnings as a user sees them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "deltacut.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_ik_matches_library(capsys, fixtures_dir, g0):
@@ -108,6 +121,31 @@ def test_workspace_bounds_that_overflow_the_cell_count_are_a_usage_error(capsys,
     assert captured.out == ""
     assert captured.err.startswith("ValueError: x cell count is not finite")
     assert not (tmp_path / "grid.txt").exists()
+
+
+def test_workspace_whose_volume_overflows_is_a_usage_error(capsys, fixtures_dir, tmp_path):
+    # One cell of 1e103 mm: its volume, 1e309 mm^3, overflows.
+    out = tmp_path / "grid.txt"
+    code = app(["workspace", "--geometry", str(fixtures_dir / "g0.json"),
+                "--out", str(out), "--resolution", "1e103"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "ValueError: resolution=1e+103 is too large: the grid's volume overflows"]
+    assert not out.exists()
+
+
+def test_workspace_coverage_of_a_far_off_point_prints_no_warning(fixtures_dir, tmp_path):
+    # The open pair at x = 1e200 goes to the kernel, whose plane cut squares it.
+    points = tmp_path / "points.json"
+    points.write_text("[[1e200, 0, 5], [0, 0, 5]]")
+    done = run_cli("workspace", "--geometry", str(fixtures_dir / "g0.json"),
+                   "--resolution", "40", "--prescribed", str(points),
+                   "--out", str(tmp_path / "grid.txt"))
+    assert done.returncode == 0, done.stderr
+    assert "coverage=0" in done.stdout.splitlines()
+    assert "Warning" not in done.stderr
 
 
 def test_workspace_refuses_a_bad_points_file_before_scanning(capsys, fixtures_dir, tmp_path):
@@ -276,6 +314,24 @@ def test_plan_of_an_overflowing_segment_is_a_usage_error(capsys, fixtures_dir, t
     assert "Traceback" not in captured.err
     assert captured.err.splitlines()[-1] == (
         "ValueError: contour 0 segment 0: path_length must be positive, got inf")
+
+
+def test_plan_of_a_far_off_pose_prints_no_warning(fixtures_dir, tmp_path):
+    # x = 1e200 mm squares to inf in the plane cut, which counts as a miss.
+    program = tmp_path / "far.json"
+    program.write_text(json.dumps({"contours": [{
+        "start": [1e200, 0], "z_plane": -300,
+        "segments": [{"type": "line", "end": [1e200, 1]}]}]}))
+    out = tmp_path / "out.csv"
+    done = run_cli("plan", "--geometry", str(fixtures_dir / "g0.json"),
+                   "--program", str(program), "--out", str(out))
+    assert done.returncode == 1
+    note, *rest = done.stderr.splitlines()
+    assert note.startswith("limits: ")
+    # After the limits note, stderr is the one error line.
+    assert len(rest) == 1 and rest[0].startswith("UnreachableSample: sample at t=0.000000s")
+    assert rest[0].endswith("unreachable by arm 1")
+    assert not out.exists()
 
 
 def test_simulate_nominal_and_faulted(capsys, fixtures_dir, tmp_path):

@@ -76,6 +76,20 @@ def test_grid_spec_refuses_a_cell_count_that_overflows(axis, kwargs):
         GridSpec(**{**bounds, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(resolution=1e103),
+    # Each cell's 1e306 mm^3 is finite, their sum over 1000 cells is not.
+    dict(x_max=1e105, resolution=1e102),
+])
+def test_grid_spec_refuses_a_volume_that_overflows(kwargs):
+    bounds = dict(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, z_min=-1.0, z_max=0.0,
+                  resolution=1.0)
+    with pytest.raises(ValueError, match="is too large: the grid's volume overflows$"):
+        GridSpec(**{**bounds, **kwargs})
+    # One cell of 1e102 mm is 1e306 mm^3.
+    assert GridSpec(**{**bounds, "resolution": 1e102}).dims == (1, 1, 1)
+
+
 def test_cell_budget_guard():
     with pytest.raises(CellBudgetExceeded):
         GridSpec(-1000.0, 1000.0, -1000.0, 1000.0, -1000.0, 0.0, 0.1)
@@ -287,6 +301,16 @@ def test_load_grid_rejects_malformed_headers(tmp_path, header):
     path = tmp_path / "grid.txt"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n01\n")
     with pytest.raises(ValueError, match=re.escape(f"grid file {path}: ")):
+        load_grid(path)
+
+
+def test_load_grid_refuses_a_header_whose_volume_overflows(tmp_path):
+    # A well-formed one-cell file, but its cell is 1e309 mm^3.
+    header = {**_HEAD, "dims": [1, 1, 1], "bounds": {**_BOUNDS, "resolution": 1e103}}
+    path = tmp_path / "grid.txt"
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"grid file {path}: resolution=1e+103 is too large: the grid's volume overflows")):
         load_grid(path)
 
 
