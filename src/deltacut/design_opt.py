@@ -29,8 +29,11 @@ once per generation, with the same IEEE operations per gene.
 Fitness evaluation consumes no randomness, so evaluation order cannot
 perturb results; each generation's children are scored by one
 population_fitness call, and the elites keep the fitness they had.
-The uniform random-search baseline draws and scores POPULATION_BUDGET
-genomes at a time from SeedSequence([seed, _BASELINE_STREAM]).
+The uniform random-search baseline draws POPULATION_BUDGET genomes at a
+time from SeedSequence([seed, _BASELINE_STREAM]), its budget in draws, and
+scores only those whose bound 1 - penalty beats the best fitness so far.  It
+returns what scoring every draw returns, and costs about as much when none
+is pruned.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workspace
 from .errors import as_count, as_list, as_number, fields, json_text, read_json
 from .geometry import RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
@@ -95,6 +99,11 @@ def _as_seed(seed) -> int:
     return seed
 
 
+def _check_weight(weight) -> None:
+    if not as_number("size_penalty_weight", weight) >= 0.0:
+        raise ValueError("size_penalty_weight must be >= 0")
+
+
 @dataclass(frozen=True, slots=True)
 class GaConfig:
     """GA hyperparameters; the defaults are the documented operating point."""
@@ -123,8 +132,7 @@ class GaConfig:
             raise ValueError("crossover_rate must be in [0, 1]")
         if not 0.0 < as_number("mutation_sigma_fraction", self.mutation_sigma_fraction) <= 1.0:
             raise ValueError("mutation_sigma_fraction must be in (0, 1]")
-        if not as_number("size_penalty_weight", self.size_penalty_weight) >= 0.0:
-            raise ValueError("size_penalty_weight must be >= 0")
+        _check_weight(self.size_penalty_weight)
         _as_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -159,6 +167,20 @@ class GaResult:
         return json_text(self.to_dict())
 
 
+def _assembled(genomes: np.ndarray, size_penalty_weight: float, bounds: DesignBounds):
+    """Which (f, e, r_f, r_e) rows of genomes RobotGeometry would take, and
+    for those rows the link fields (a, b, r_f, r_e) and the size penalty
+    weight * (f + e + r_f + r_e) / (sum of upper bounds)."""
+    # NaN, infinite and overflowing genes fail the mask without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, _, assembles = _assembly(*genomes.T)
+        feasible = (assembles & (genomes > 0.0).all(axis=1)
+                    & np.isfinite(genomes * genomes).all(axis=1))
+    f, e, r_f, r_e = genomes[feasible].T
+    links = np.stack((a[feasible], b[feasible], r_f, r_e), axis=1)
+    return feasible, links, size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
+
+
 def population_fitness(
     genomes,
     prescribed: PrescribedWorkspace,
@@ -168,16 +190,9 @@ def population_fitness(
     """coverage - weight * (f + e + r_f + r_e) / (sum of upper bounds) per
     (f, e, r_f, r_e) row; -1.0 where RobotGeometry would refuse the row."""
     genomes = np.asarray(genomes, dtype=np.float64)
-    # NaN, infinite and overflowing genes fail the mask without warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, _, assembles = _assembly(*genomes.T)
-        feasible = (assembles & (genomes > 0.0).all(axis=1)
-                    & np.isfinite(genomes * genomes).all(axis=1))
+    feasible, links, penalty = _assembled(genomes, size_penalty_weight, bounds)
     fits = np.full(len(genomes), INFEASIBLE_FITNESS)
     if feasible.any():
-        f, e, r_f, r_e = genomes[feasible].T
-        links = np.stack((a[feasible], b[feasible], r_f, r_e), axis=1)
-        penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
         fits[feasible] = coverage_links(links, prescribed) - penalty
     return fits
 
@@ -321,18 +336,36 @@ def random_search(
     size_penalty_weight: float,
     seed: int,
 ) -> tuple[np.ndarray, float]:
-    """Equal-budget uniform baseline; returns (best genome, best fitness)."""
+    """Equal-budget uniform baseline; returns (best genome, best fitness).
+
+    evaluations counts draws.  Coverage is at most 1, so a genome's fitness
+    is at most its bound 1 - penalty, or -1.0 if it cannot be assembled
+    (IEEE subtraction is monotone).  A genome whose bound does not beat the
+    best fitness so far is drawn but not scored, because it could not
+    replace the best.  So the result is that of scoring every genome, and a
+    search that prunes nothing costs about as much as scoring every genome.
+    """
     as_count("evaluations", evaluations, 1)
+    _check_weight(size_penalty_weight)
     rng = np.random.default_rng(np.random.SeedSequence([_as_seed(seed), _BASELINE_STREAM]))
+    # At most one coverage_links block of genomes is scored at a time.
+    rows = max(1, workspace.PAIR_BUDGET // len(prescribed))
     best, best_fit = None, -math.inf
     # One draw per block of rows gives the same stream as one draw per genome,
     # and the first maximum wins, as if genomes were scored one by one.
     for start in range(0, evaluations, POPULATION_BUDGET):
         size = (min(POPULATION_BUDGET, evaluations - start), 4)
         genomes = rng.uniform(bounds.lower(), bounds.upper(), size=size)
-        fits = population_fitness(genomes, prescribed, size_penalty_weight, bounds)
-        if (fit := fits.max()) > best_fit:
-            best, best_fit = genomes[fits.argmax()].copy(), float(fit)
+        feasible, _, penalty = _assembled(genomes, size_penalty_weight, bounds)
+        bound = np.full(len(genomes), INFEASIBLE_FITNESS)
+        bound[feasible] = 1.0 - penalty
+        rest = np.flatnonzero(bound > best_fit)
+        while len(rest):
+            batch, rest = rest[:rows], rest[rows:]
+            fits = population_fitness(genomes[batch], prescribed, size_penalty_weight, bounds)
+            if (fit := fits.max()) > best_fit:
+                best, best_fit = genomes[batch[fits.argmax()]].copy(), float(fit)
+                rest = rest[bound[rest] > best_fit]
     return best, best_fit
 
 

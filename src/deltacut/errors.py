@@ -159,7 +159,7 @@ class UnreachableSample(DomainError):
         self.pose = pose
         self.arm_index = arm_index
         super().__init__(
-            f"sample at t={t:.6f}s pose=({pose.x:.6f}, {pose.y:.6f}, {pose.z:.6f}) "
+            f"sample at t={t:.17g}s pose=({pose.x:.17g}, {pose.y:.17g}, {pose.z:.17g}) "
             f"unreachable by arm {arm_index}"
         )
 

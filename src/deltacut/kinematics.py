@@ -216,7 +216,8 @@ def _reach_verdict(geometry, x, y, z):
     r2z = (2.0 * r_f) * z
     reached, missed = True, False
     for arm in (1, 2, 3):
-        plane_miss, rc2, dy, _ = _plane_cut(geometry, x, y, arm)
+        # This call's errstate covers the cut's own.
+        plane_miss, rc2, dy, _ = _plane_cut.__wrapped__(geometry, x, y, arm)
         d2 = dy * dy + z2
         w = d2 + f2 - rc2
         w2 = w * w

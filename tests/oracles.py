@@ -28,6 +28,9 @@ mutation on that slot's 4-element genome.  The package draws the same
 numbers in the same order and breeds a whole generation with array code.
 fitness_per_genome scores a population one RobotGeometry at a time, with
 coverage(); the package masks unassemblable genomes out with array code.
+random_search_exhaustive is the random-search baseline as it first ran:
+every genome drawn is scored.  The package scores only the genomes whose
+fitness bound, 1 - penalty, beats the best fitness so far.
 
 draw_slots_numpy is a generation's draws as run_ga_slots makes them, numpy's
 own integers() call per tournament; the package rebuilds the entrants and
@@ -62,6 +65,7 @@ import math
 
 import numpy as np
 
+from deltacut import design_opt
 from deltacut.control_sim import (
     FaultScript,
     FaultWindow,
@@ -71,6 +75,7 @@ from deltacut.control_sim import (
     WatchdogConfig,
 )
 from deltacut.design_opt import (
+    _BASELINE_STREAM,
     _BLEND_ALPHA,
     INFEASIBLE_FITNESS,
     DesignBounds,
@@ -625,6 +630,19 @@ def fitness_per_genome(genomes, prescribed, size_penalty_weight, bounds) -> list
         penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
         fits.append(coverage(geometry, prescribed) - penalty)
     return fits
+
+
+def random_search_exhaustive(bounds, prescribed, evaluations, size_penalty_weight, seed):
+    """random_search scoring every genome it draws, POPULATION_BUDGET at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _BASELINE_STREAM]))
+    best, best_fit = None, -math.inf
+    for start in range(0, evaluations, design_opt.POPULATION_BUDGET):
+        size = (min(design_opt.POPULATION_BUDGET, evaluations - start), 4)
+        genomes = rng.uniform(bounds.lower(), bounds.upper(), size=size)
+        fits = population_fitness(genomes, prescribed, size_penalty_weight, bounds)
+        if (fit := fits.max()) > best_fit:
+            best, best_fit = genomes[fits.argmax()].copy(), float(fit)
+    return best, best_fit
 
 
 def coverage_links_kernel(links, prescribed: PrescribedWorkspace) -> np.ndarray:

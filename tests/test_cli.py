@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -329,9 +330,26 @@ def test_plan_of_a_far_off_pose_prints_no_warning(fixtures_dir, tmp_path):
     note, *rest = done.stderr.splitlines()
     assert note.startswith("limits: ")
     # After the limits note, stderr is the one error line.
-    assert len(rest) == 1 and rest[0].startswith("UnreachableSample: sample at t=0.000000s")
+    assert len(rest) == 1 and rest[0].startswith("UnreachableSample: sample at t=0s")
     assert rest[0].endswith("unreachable by arm 1")
     assert not out.exists()
+
+
+def test_unreachable_sample_line_is_short_and_exact(capsys, fixtures_dir, tmp_path):
+    # Fixed-point text would print x = 1e200 mm with 201 digits.
+    program = tmp_path / "far.json"
+    program.write_text(json.dumps({"contours": [{
+        "start": [1e200, 0], "z_plane": -300,
+        "segments": [{"type": "line", "end": [1e200, 1]}]}]}))
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(program), "--out", str(tmp_path / "out.csv")]) == 1
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert len(line) < 200
+    match = re.fullmatch(r"UnreachableSample: sample at t=(\S+)s pose=\((\S+), (\S+), (\S+)\) "
+                         r"unreachable by arm 1", line)
+    assert match is not None, line
+    assert [float(v).hex() for v in match.groups()] == [
+        v.hex() for v in (0.0, 1e200, 0.0, -300.0)]
 
 
 def test_simulate_nominal_and_faulted(capsys, fixtures_dir, tmp_path):

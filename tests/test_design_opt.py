@@ -19,12 +19,13 @@ from deltacut import (
     coverage,
     load_bounds,
     load_ga_config,
+    load_prescribed,
     random_search,
     run_ga,
 )
 from deltacut import design_opt, workspace
 from deltacut.design_opt import _draw_slots, population_fitness
-from oracles import draw_slots_numpy, fitness_per_genome, run_ga_slots
+from oracles import draw_slots_numpy, fitness_per_genome, random_search_exhaustive, run_ga_slots
 
 INFEASIBLE = -1.0
 
@@ -386,6 +387,56 @@ def test_random_search_in_blocks_equals_one_block(budget):
     with mock.patch.object(design_opt, "POPULATION_BUDGET", budget):
         got = random_search(bounds, points, 60, 0.05, seed=9)
     assert (got[0].tobytes(), got[1].hex()) == (want[0].tobytes(), want[1].hex())
+
+
+# Genomes none of which assembles: reach |a + r_f - b| is about r_f > r_e.
+UNASSEMBLABLE = DesignBounds(f=(100.0, 101.0), e=(100.0, 101.0),
+                             r_f=(500.0, 600.0), r_e=(1.0, 2.0))
+# The far point keeps every genome below full coverage, so weight 0 prunes
+# nothing.  Weight 0.001 keeps every penalty below 0.001, so a bound too
+# tight by that much would prune a winner.
+SEARCH_POINTS = load_fixture("recovery_points.json")["points"][:40] + [[0.0, 0.0, -5000.0]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(evaluations=st.integers(1, 600), seed=st.integers(0, 2 ** 64 - 1),
+       points=st.lists(st.sampled_from(SEARCH_POINTS), min_size=1, max_size=12),
+       weight=st.one_of(st.sampled_from([0.0, 0.001, 0.05, 0.5]), st.floats(0.0, 10.0)),
+       bounds=st.sampled_from([small_bounds(), UNASSEMBLABLE]),
+       population_budget=st.sampled_from([1, 7, 59, design_opt.POPULATION_BUDGET]),
+       pair_budget=st.sampled_from([3, 17, 100, workspace.PAIR_BUDGET]))
+def test_pruned_random_search_equals_scoring_every_genome(
+        evaluations, seed, points, weight, bounds, population_budget, pair_budget):
+    prescribed = PrescribedWorkspace(points=np.array(points))
+    with (mock.patch.object(design_opt, "POPULATION_BUDGET", population_budget),
+          mock.patch.object(workspace, "PAIR_BUDGET", pair_budget)):
+        got = random_search(bounds, prescribed, evaluations, weight, seed)
+        want = random_search_exhaustive(bounds, prescribed, evaluations, weight, seed)
+    assert (got[0].tobytes(), got[1].hex()) == (want[0].tobytes(), want[1].hex())
+
+
+def test_random_search_scores_fewer_genomes_than_it_draws(fixtures_dir):
+    bounds = load_bounds(fixtures_dir / "bounds.json")
+    points = load_prescribed(fixtures_dir / "recovery_points.json")
+    weight = load_ga_config(fixtures_dir / "ga_small.json").size_penalty_weight
+    scored = []
+
+    def spy(genomes, *args):
+        scored.append(len(genomes))
+        return population_fitness(genomes, *args)
+
+    with mock.patch.object(design_opt, "population_fitness", spy):
+        random_search(bounds, points, 257, weight, seed=9)
+    # 169 of the 257 genomes drawn are scored.
+    assert 0 < sum(scored) < 257
+
+
+@pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf"), True, "0.05"])
+def test_random_search_weight_is_checked_as_the_ga_weight(weight):
+    with pytest.raises(ValueError, match="size_penalty_weight"):
+        random_search(small_bounds(), small_points(), 5, weight, seed=9)
+    with pytest.raises(ValueError, match="size_penalty_weight"):
+        GaConfig(size_penalty_weight=weight)
 
 
 def test_random_search_memory_stops_growing_past_the_budget():
