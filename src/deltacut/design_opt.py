@@ -100,8 +100,10 @@ def _as_seed(seed) -> int:
 
 
 def _check_weight(weight) -> None:
-    if not as_number("size_penalty_weight", weight) >= 0.0:
-        raise ValueError("size_penalty_weight must be >= 0")
+    # Below 1 the penalty of a genome within the bounds is below 1, so every
+    # assemblable genome scores above the -1.0 sentinel.
+    if not 0.0 <= as_number("size_penalty_weight", weight) < 1.0:
+        raise ValueError("size_penalty_weight must be in [0, 1)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,13 +358,19 @@ def random_search(
     for start in range(0, evaluations, POPULATION_BUDGET):
         size = (min(POPULATION_BUDGET, evaluations - start), 4)
         genomes = rng.uniform(bounds.lower(), bounds.upper(), size=size)
-        feasible, _, penalty = _assembled(genomes, size_penalty_weight, bounds)
+        feasible, links, penalty = _assembled(genomes, size_penalty_weight, bounds)
         bound = np.full(len(genomes), INFEASIBLE_FITNESS)
         bound[feasible] = 1.0 - penalty
+        # Each feasible genome's row of links and penalty.
+        row = np.cumsum(feasible) - 1
         rest = np.flatnonzero(bound > best_fit)
         while len(rest):
             batch, rest = rest[:rows], rest[rows:]
-            fits = population_fitness(genomes[batch], prescribed, size_penalty_weight, bounds)
+            # population_fitness of the batch, from the links built above.
+            fits = bound[batch]
+            live = feasible[batch]
+            scored = row[batch[live]]
+            fits[live] = coverage_links(links[scored], prescribed) - penalty[scored]
             if (fit := fits.max()) > best_fit:
                 best, best_fit = genomes[batch[fits.argmax()]].copy(), float(fit)
                 rest = rest[bound[rest] > best_fit]

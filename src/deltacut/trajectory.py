@@ -8,9 +8,12 @@ endpoint is hit exactly.  The next motion starts on the first tick boundary
 strictly after that, so the machine dwells stopped for less than one tick at
 each junction and timestamps stay strictly increasing.
 
-build_motions turns a program into one flat row of numbers per motion;
-plan_program samples all rows in one pass of array code, refusing a program
-that needs more than SAMPLE_BUDGET samples before it allocates any.
+build_motions turns a program into one flat row of numbers per motion.
+plan_program refuses a program that needs more than SAMPLE_BUDGET samples
+before it allocates any, fixes each motion's first and last sample, then
+samples and solves STREAM_BLOCK_ROWS samples at a time with array code, into
+the stream's preallocated arrays; validate_stream audits a stream in blocks
+of the same size.  Beyond the stream, neither allocates per sample.
 
 write_stream_csv formats STREAM_BLOCK_ROWS rows at a time in array code,
 byte for byte as "%.17g" would: each value is scaled by a power of ten in
@@ -48,16 +51,19 @@ _CSV_ROW = np.dtype([("v", np.float64, (7,)), ("l", np.int8)])
 _ARC_RADIUS_TOL = 1e-6
 _FULL_CIRCLE_TOL = 1e-9
 
-# Most stream CSV rows write_stream_csv formats, and read_stream_csv's line
-# by line path parses, at once, so that their temporaries stay a fixed size
-# whatever the stream length: about 4 MB to write a block and 2 MB to read
-# one (tracemalloc).  Either side takes as long per row at 2,048 as at 4,096.
-# np.loadtxt, which reads every other file, sizes its own chunks.
+# Most samples plan_program plans and validate_stream audits, stream CSV
+# rows write_stream_csv formats, and lines read_stream_csv's line by line
+# path parses, at once, so that their temporaries stay a fixed size whatever
+# the stream length: about 1 MB to plan a block, 0.6 MB to validate one, 4 MB
+# to write one and 2 MB to read one (tracemalloc).  Either CSV side takes as
+# long per row at 2,048 as at 4,096.  np.loadtxt, which reads every other
+# file, sizes its own chunks.
 STREAM_BLOCK_ROWS = 2048
 
-# Most samples plan_program plans for one program.  Its peak is about 270
-# bytes per sample on lines and 360 on arcs (tracemalloc), so a plan at the
-# budget stays under 1 GB.
+# Most samples plan_program plans for one program.  Its peak is the stream,
+# 57 bytes per sample, plus a block's temporaries and the motion rows: 58-59
+# bytes per sample at a million samples on lines or arcs (tracemalloc), so a
+# plan at the budget stays under 160 MB.
 SAMPLE_BUDGET = 2_500_000
 
 
@@ -262,10 +268,14 @@ class SetpointStream:
             raise InvalidStream("stream has no samples")
         if t.ndim != 1 or poses.shape != (n, 3) or joints.shape != (n, 3) or laser.shape != (n,):
             raise InvalidStream("stream arrays have inconsistent shapes")
-        if not (t[1:] > t[:-1]).all():
-            raise InvalidStream("timestamps must be strictly increasing")
+        # A block at a time, so that no check allocates per sample.
+        for s in range(0, n, STREAM_BLOCK_ROWS):
+            block = t[s:s + STREAM_BLOCK_ROWS + 1]
+            if not (block[1:] > block[:-1]).all():
+                raise InvalidStream("timestamps must be strictly increasing")
         for arr, name in ((t, "t"), (poses, "poses"), (joints, "joints")):
-            if not np.isfinite(arr).all():
+            # The minimum or maximum is NaN or infinite when any value is.
+            if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
                 raise InvalidStream(f"{name} contains non-finite values")
             arr.setflags(write=False)
         laser.setflags(write=False)
@@ -285,31 +295,13 @@ def plan_program(
 ) -> SetpointStream:
     """Sample a program on the controller tick and solve joints per sample.
 
-    Raises UnreachableSample at the first setpoint outside the workspace.
+    Raises ValueError, before allocating any per-sample array, when the
+    program needs more than SAMPLE_BUDGET samples, and UnreachableSample at
+    the first setpoint outside the workspace.
     """
     lim = limits if limits is not None else MachineLimits()
-    t, pose_array, laser = _sample(build_motions(program, lim), lim.tick)
-    joints, reachable = inverse_kinematics_many(geometry, pose_array)
-    if not reachable.all():
-        # The scalar solver shares the kernel, so it fails here too and
-        # names the arm and the reason.
-        i = int(np.argmin(reachable))
-        pose = Pose(*pose_array[i].tolist())
-        try:
-            inverse_kinematics(geometry, pose)
-        except Unreachable as exc:
-            raise UnreachableSample(float(t[i]), pose, exc.arm_index) from exc
-
-    return SetpointStream(t=t, poses=pose_array, joints=joints, laser=laser)
-
-
-def _sample(motions: list[Motion], tick: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Times, poses and laser flags of every motion's samples, all at once.
-
-    Raises ValueError, before allocating any per-sample array, when the
-    program needs more than SAMPLE_BUDGET samples.
-    """
-    table = np.array(motions).T
+    tick = lim.tick
+    table = np.array(build_motions(program, lim)).T
     col = Motion(*table)
     totals = col.total_time.tolist()
     # Each motion's ticks plus its final sample, in Python floats, so that a
@@ -331,35 +323,57 @@ def _sample(motions: list[Motion], tick: float) -> tuple[np.ndarray, np.ndarray,
         start_tick = math.floor((start_tick * tick + total) / tick + 1e-12) + 1
     starts = np.array(starts, dtype=np.int64)
     last = np.cumsum(steps + 1) - 1
-    of = np.repeat(np.arange(len(motions)), steps + 1)
-    k = np.arange(of.size) - (last - steps)[of]
-    m = Motion(*table[:, of])
+    first = last - steps
 
-    t = (starts[of] + k) * tick
-    t[last] = starts * tick + col.total_time
-    # Arc length along the profile k ticks into the motion.
-    tm = k * tick
-    half_a = 0.5 * m.accel
-    tau = m.total_time - tm
-    s = np.where(tm <= 0.0, 0.0,
-        np.where(tm >= m.total_time, m.length,
-        np.where(tm < m.t_accel, half_a * tm * tm,
-        np.where(tm < m.t_accel + m.t_cruise,
-                 half_a * m.t_accel * m.t_accel + m.v_peak * (tm - m.t_accel),
-                 m.length - half_a * tau * tau))))
-    u = s / m.length
-    poses = np.column_stack((m.x0 + u * (m.x1 - m.x0), m.y0 + u * (m.y1 - m.y0),
-                             m.z0 + u * (m.z1 - m.z0)))
-    on_arc = np.flatnonzero(m.arc)
-    ang = (m.a0 + m.sweep * u)[on_arc].tolist()
-    # math.cos/math.sin: np.cos/np.sin can differ by one ulp on some
-    # hosts and would move the frozen streams.
-    cos, sin = (np.array(list(map(f, ang))) for f in (math.cos, math.sin))
-    radius = m.radius[on_arc]
-    poses[on_arc] = np.column_stack((m.cx[on_arc] + radius * cos,
-                                     m.cy[on_arc] + radius * sin, m.z1[on_arc]))
-    poses[last] = np.column_stack((col.x1, col.y1, col.z1))
-    return t, poses, m.laser_on != 0.0
+    n = int(last[-1]) + 1
+    t, poses, joints = np.empty(n), np.empty((n, 3)), np.empty((n, 3))
+    laser = np.empty(n, dtype=bool)
+    for s in range(0, n, STREAM_BLOCK_ROWS):
+        e = min(s + STREAM_BLOCK_ROWS, n)
+        # The motion of each sample of the block, and the sample's tick in it.
+        index = np.arange(s, e)
+        of = np.searchsorted(last, index)
+        k = index - first[of]
+        m = Motion(*table[:, of])
+        t[s:e] = (starts[of] + k) * tick
+        # Arc length along the profile k ticks into the motion.
+        tm = k * tick
+        half_a = 0.5 * m.accel
+        tau = m.total_time - tm
+        arc_s = np.where(tm <= 0.0, 0.0,
+            np.where(tm >= m.total_time, m.length,
+            np.where(tm < m.t_accel, half_a * tm * tm,
+            np.where(tm < m.t_accel + m.t_cruise,
+                     half_a * m.t_accel * m.t_accel + m.v_peak * (tm - m.t_accel),
+                     m.length - half_a * tau * tau))))
+        u = arc_s / m.length
+        block = poses[s:e]
+        block[:] = np.column_stack((m.x0 + u * (m.x1 - m.x0), m.y0 + u * (m.y1 - m.y0),
+                                    m.z0 + u * (m.z1 - m.z0)))
+        on_arc = np.flatnonzero(m.arc)
+        ang = (m.a0 + m.sweep * u)[on_arc].tolist()
+        # math.cos/math.sin: np.cos/np.sin can differ by one ulp on some
+        # hosts and would move the frozen streams.
+        cos, sin = (np.array(list(map(f, ang))) for f in (math.cos, math.sin))
+        radius = m.radius[on_arc]
+        block[on_arc] = np.column_stack((m.cx[on_arc] + radius * cos,
+                                         m.cy[on_arc] + radius * sin, m.z1[on_arc]))
+        # Each motion's last sample sits at its exact end time and point.
+        end = np.flatnonzero(k == steps[of])
+        t[s + end] = starts[of[end]] * tick + m.total_time[end]
+        block[end] = np.column_stack((m.x1[end], m.y1[end], m.z1[end]))
+        laser[s:e] = m.laser_on != 0.0
+        joints[s:e], reachable = inverse_kinematics_many(geometry, block)
+        if not reachable.all():
+            # The scalar solver shares the kernel, so it fails here too and
+            # names the arm and the reason.
+            i = int(np.argmin(reachable))
+            pose = Pose(*block[i].tolist())
+            try:
+                inverse_kinematics(geometry, pose)
+            except Unreachable as exc:
+                raise UnreachableSample(float(t[s + i]), pose, exc.arm_index) from exc
+    return SetpointStream(t=t, poses=poses, joints=joints, laser=laser)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,43 +413,40 @@ def validate_stream(
     stream: SetpointStream,
     limits: MachineLimits | None = None,
 ) -> StreamReport:
-    """Re-derive speeds, accelerations and joints from the samples."""
+    """Re-derive speeds, accelerations and joints from the samples.
+
+    Runs STREAM_BLOCK_ROWS samples at a time.  A block reads the two samples
+    after it too, so the differences across a block edge are the ones the
+    whole stream gives.
+    """
     lim = limits if limits is not None else MachineLimits()
-    t = stream.t
-    p = stream.poses
-    violations: list[Violation] = []
-
-    dt = np.diff(t)
-    dp = np.diff(p, axis=0)
-    vel = dp / dt[:, None]
-    speed = np.sqrt((vel * vel).sum(axis=1))
-    max_speed = float(speed.max()) if speed.size else 0.0
     speed_limit = lim.v_max * (1.0 + SPEED_REL_TOL)
-    for i in np.nonzero(speed > speed_limit)[0]:
-        violations.append(Violation(int(i) + 1, "speed", float(speed[i]), lim.v_max))
+    accel_limit = lim.a_max * (1.0 + ACCEL_REL_TOL)
+    peaks, violations = [], []
+    for s in range(0, len(stream), STREAM_BLOCK_ROWS):
+        e = s + STREAM_BLOCK_ROWS
+        t = stream.t[s:e + 2]
+        vel = np.diff(stream.poses[s:e + 2], axis=0) / np.diff(t)[:, None]
+        # For i in the block: sample i + 1's speed from samples i and i + 1,
+        # its acceleration from samples i to i + 2, its joint step.
+        speed = _norms(vel[:e - s])
+        accel = _norms(np.diff(vel, axis=0) / ((t[2:] - t[:-2]) / 2.0)[:, None])
+        step = _row_max(np.abs(np.diff(stream.joints[s:e + 1], axis=0)))
+        joints, reachable = inverse_kinematics_many(geometry, stream.poses[s:e])
+        res = np.where(reachable, _row_max(np.abs(joints - stream.joints[s:e])), 0.0)
+        peaks.append((speed.max(initial=0.0), accel.max(initial=0.0),
+                      step.max(initial=0.0), res.max()))
+        for i in np.flatnonzero(speed > speed_limit).tolist():
+            violations.append(Violation(s + i + 1, "speed", float(speed[i]), lim.v_max))
+        for i in np.flatnonzero(accel > accel_limit).tolist():
+            violations.append(Violation(s + i + 1, "accel", float(accel[i]), lim.a_max))
+        for i in np.flatnonzero(~reachable).tolist():
+            violations.append(Violation(s + i, "unreachable", math.inf, 0.0))
+        for i in np.flatnonzero(res > IK_RESIDUAL_TOL).tolist():
+            violations.append(Violation(s + i, "ik_residual", float(res[i]), IK_RESIDUAL_TOL))
 
-    max_accel = 0.0
-    if len(stream) >= 3:
-        mid_dt = (t[2:] - t[:-2]) / 2.0
-        dv = np.diff(vel, axis=0)
-        acc = dv / mid_dt[:, None]
-        accel = np.sqrt((acc * acc).sum(axis=1))
-        max_accel = float(accel.max())
-        accel_limit = lim.a_max * (1.0 + ACCEL_REL_TOL)
-        for i in np.nonzero(accel > accel_limit)[0]:
-            violations.append(Violation(int(i) + 1, "accel", float(accel[i]), lim.a_max))
-
-    dj = np.abs(np.diff(stream.joints, axis=0)).max(axis=1) if len(stream) > 1 else np.zeros(0)
-    max_joint_step = float(dj.max()) if dj.size else 0.0
-
-    joints, reachable = inverse_kinematics_many(geometry, p)
-    res = np.where(reachable, np.abs(joints - stream.joints).max(axis=1), 0.0)
-    max_res = float(res.max())
-    for i in np.nonzero(~reachable)[0]:
-        violations.append(Violation(int(i), "unreachable", math.inf, 0.0))
-    for i in np.nonzero(res > IK_RESIDUAL_TOL)[0]:
-        violations.append(Violation(int(i), "ik_residual", float(res[i]), IK_RESIDUAL_TOL))
-
+    # np.max keeps a NaN acceleration (inf - inf) as the whole stream did.
+    max_speed, max_accel, max_joint_step, max_res = np.max(peaks, axis=0).tolist()
     violations.sort(key=lambda v: (v.index, v.kind))
     return StreamReport(
         max_speed=max_speed,
@@ -444,6 +455,18 @@ def validate_stream(
         max_ik_residual=max_res,
         violations=tuple(violations),
     )
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """sqrt((v * v).sum(axis=1)) of an (n, 3) array, column by column: the
+    same sums, (x^2 + y^2) + z^2, at a fraction of the cost."""
+    sq = v * v
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1) of an (n, 3) array, column by column."""
+    return np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2])
 
 
 def write_stream_csv(stream: SetpointStream, path: str | Path) -> None:

@@ -15,8 +15,15 @@ plan_samples and write_stream_rows are the planner's sampling loop and the
 stream writer as they first ran: one profile position, one path point and
 one formatted value at a time.  plan_samples reads the motion rows of
 build_motions through profile_position and path_point, one sample at a
-time; the package samples every motion in one pass of array code.  The
-same samples and bytes come out.
+time; the package samples a block of samples at a time with array code.
+The same samples and bytes come out.
+
+plan_one_pass and validate_one_pass are the planner and the validator as
+they ran before sample blocks: every per-sample temporary, from the motion
+index to the joint solutions and the finite differences, spans the whole
+stream at once.  The package runs STREAM_BLOCK_ROWS samples at a time, and
+the validator reads two samples past each block; the same streams and
+reports come out.
 
 read_stream_rows is the stream reader as it first ran: csv.reader, one row
 and one float() per field at a time.  The package parses blocks of lines at
@@ -104,8 +111,14 @@ from deltacut.kinematics import (
 )
 from deltacut.trajectory import (
     _CSV_HEADER,
+    ACCEL_REL_TOL,
+    IK_RESIDUAL_TOL,
+    SPEED_REL_TOL,
     MachineLimits,
+    Motion,
     SetpointStream,
+    StreamReport,
+    Violation,
     build_motions,
 )
 from deltacut.workspace import (
@@ -615,6 +628,106 @@ def read_stream_rows(path) -> SetpointStream:
         t=np.array(times), poses=np.array(poses),
         joints=np.array(joints), laser=np.array(laser, dtype=bool),
     )
+
+
+def plan_one_pass(geometry, program, limits: MachineLimits | None = None) -> SetpointStream:
+    """plan_program with every sample's temporaries built at once."""
+    lim = limits if limits is not None else MachineLimits()
+    t, pose_array, laser = _sample_one_pass(build_motions(program, lim), lim.tick)
+    joints, reachable = inverse_kinematics_many(geometry, pose_array)
+    if not reachable.all():
+        i = int(np.argmin(reachable))
+        pose = Pose(*pose_array[i].tolist())
+        try:
+            inverse_kinematics(geometry, pose)
+        except Unreachable as exc:
+            raise UnreachableSample(float(t[i]), pose, exc.arm_index) from exc
+    return SetpointStream(t=t, poses=pose_array, joints=joints, laser=laser)
+
+
+def _sample_one_pass(motions, tick: float):
+    """Times, poses and laser flags of every motion's samples, all at once;
+    the sample budget is plan_program's to check."""
+    table = np.array(motions).T
+    col = Motion(*table)
+    steps = np.ceil(col.total_time / tick - 1e-12).astype(np.int64)
+    starts, start_tick = [], 0
+    for total in col.total_time.tolist():
+        starts.append(start_tick)
+        start_tick = math.floor((start_tick * tick + total) / tick + 1e-12) + 1
+    starts = np.array(starts, dtype=np.int64)
+    last = np.cumsum(steps + 1) - 1
+    of = np.repeat(np.arange(len(motions)), steps + 1)
+    k = np.arange(of.size) - (last - steps)[of]
+    m = Motion(*table[:, of])
+
+    t = (starts[of] + k) * tick
+    t[last] = starts * tick + col.total_time
+    tm = k * tick
+    half_a = 0.5 * m.accel
+    tau = m.total_time - tm
+    s = np.where(tm <= 0.0, 0.0,
+        np.where(tm >= m.total_time, m.length,
+        np.where(tm < m.t_accel, half_a * tm * tm,
+        np.where(tm < m.t_accel + m.t_cruise,
+                 half_a * m.t_accel * m.t_accel + m.v_peak * (tm - m.t_accel),
+                 m.length - half_a * tau * tau))))
+    u = s / m.length
+    poses = np.column_stack((m.x0 + u * (m.x1 - m.x0), m.y0 + u * (m.y1 - m.y0),
+                             m.z0 + u * (m.z1 - m.z0)))
+    on_arc = np.flatnonzero(m.arc)
+    ang = (m.a0 + m.sweep * u)[on_arc].tolist()
+    cos, sin = (np.array(list(map(f, ang))) for f in (math.cos, math.sin))
+    radius = m.radius[on_arc]
+    poses[on_arc] = np.column_stack((m.cx[on_arc] + radius * cos,
+                                     m.cy[on_arc] + radius * sin, m.z1[on_arc]))
+    poses[last] = np.column_stack((col.x1, col.y1, col.z1))
+    return t, poses, m.laser_on != 0.0
+
+
+def validate_one_pass(geometry, stream: SetpointStream,
+                      limits: MachineLimits | None = None) -> StreamReport:
+    """validate_stream with every sample's differences built at once."""
+    lim = limits if limits is not None else MachineLimits()
+    t = stream.t
+    p = stream.poses
+    violations = []
+
+    dt = np.diff(t)
+    dp = np.diff(p, axis=0)
+    vel = dp / dt[:, None]
+    speed = np.sqrt((vel * vel).sum(axis=1))
+    max_speed = float(speed.max()) if speed.size else 0.0
+    speed_limit = lim.v_max * (1.0 + SPEED_REL_TOL)
+    for i in np.nonzero(speed > speed_limit)[0]:
+        violations.append(Violation(int(i) + 1, "speed", float(speed[i]), lim.v_max))
+
+    max_accel = 0.0
+    if len(stream) >= 3:
+        mid_dt = (t[2:] - t[:-2]) / 2.0
+        dv = np.diff(vel, axis=0)
+        acc = dv / mid_dt[:, None]
+        accel = np.sqrt((acc * acc).sum(axis=1))
+        max_accel = float(accel.max())
+        accel_limit = lim.a_max * (1.0 + ACCEL_REL_TOL)
+        for i in np.nonzero(accel > accel_limit)[0]:
+            violations.append(Violation(int(i) + 1, "accel", float(accel[i]), lim.a_max))
+
+    dj = np.abs(np.diff(stream.joints, axis=0)).max(axis=1) if len(stream) > 1 else np.zeros(0)
+    max_joint_step = float(dj.max()) if dj.size else 0.0
+
+    joints, reachable = inverse_kinematics_many(geometry, p)
+    res = np.where(reachable, np.abs(joints - stream.joints).max(axis=1), 0.0)
+    max_res = float(res.max())
+    for i in np.nonzero(~reachable)[0]:
+        violations.append(Violation(int(i), "unreachable", math.inf, 0.0))
+    for i in np.nonzero(res > IK_RESIDUAL_TOL)[0]:
+        violations.append(Violation(int(i), "ik_residual", float(res[i]), IK_RESIDUAL_TOL))
+
+    violations.sort(key=lambda v: (v.index, v.kind))
+    return StreamReport(max_speed=max_speed, max_accel=max_accel,
+                        max_joint_step=max_joint_step, max_ik_residual=max_res,
+                        violations=tuple(violations))
 
 
 def fitness_per_genome(genomes, prescribed, size_penalty_weight, bounds) -> list[float]:

@@ -289,6 +289,23 @@ def test_optimize_over_the_population_budget_is_a_usage_error(capsys, fixtures_d
         f"ValueError: population_size is {2 ** 32}, budget is {design_opt.POPULATION_BUDGET}")
 
 
+def test_optimize_with_a_penalty_weight_of_one_or_more_is_a_usage_error(
+        capsys, fixtures_dir, tmp_path):
+    # At weight 10 a penalty pushed every assemblable genome below the -1.0
+    # of the unassemblable ones: the GA wrote "best": null and exited 0.
+    config = tmp_path / "ga.json"
+    config.write_text(json.dumps({"population_size": 20, "generations": 5,
+                                  "size_penalty_weight": 10}))
+    out = tmp_path / "out.json"
+    assert app(["optimize", "--bounds", str(fixtures_dir / "bounds.json"),
+                "--prescribed", str(fixtures_dir / "recovery_points.json"),
+                "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == (
+        f"ValueError: config file {config}: size_penalty_weight must be in [0, 1)")
+
+
 def test_plan_past_the_float_range_is_a_usage_error(capsys, fixtures_dir, tmp_path):
     # Three motions need only a few samples, but the third starts at 2e308 s.
     out = tmp_path / "out.csv"

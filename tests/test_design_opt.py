@@ -389,6 +389,8 @@ def test_random_search_in_blocks_equals_one_block(budget):
     assert (got[0].tobytes(), got[1].hex()) == (want[0].tobytes(), want[1].hex())
 
 
+ALMOST_ONE = math.nextafter(1.0, 0.0)  # the largest weight accepted
+
 # Genomes none of which assembles: reach |a + r_f - b| is about r_f > r_e.
 UNASSEMBLABLE = DesignBounds(f=(100.0, 101.0), e=(100.0, 101.0),
                              r_f=(500.0, 600.0), r_e=(1.0, 2.0))
@@ -401,7 +403,8 @@ SEARCH_POINTS = load_fixture("recovery_points.json")["points"][:40] + [[0.0, 0.0
 @settings(max_examples=80, deadline=None)
 @given(evaluations=st.integers(1, 600), seed=st.integers(0, 2 ** 64 - 1),
        points=st.lists(st.sampled_from(SEARCH_POINTS), min_size=1, max_size=12),
-       weight=st.one_of(st.sampled_from([0.0, 0.001, 0.05, 0.5]), st.floats(0.0, 10.0)),
+       weight=st.one_of(st.sampled_from([0.0, 0.001, 0.05, 0.5, ALMOST_ONE]),
+                        st.floats(0.0, 1.0, exclude_max=True)),
        bounds=st.sampled_from([small_bounds(), UNASSEMBLABLE]),
        population_budget=st.sampled_from([1, 7, 59, design_opt.POPULATION_BUDGET]),
        pair_budget=st.sampled_from([3, 17, 100, workspace.PAIR_BUDGET]))
@@ -419,24 +422,49 @@ def test_random_search_scores_fewer_genomes_than_it_draws(fixtures_dir):
     bounds = load_bounds(fixtures_dir / "bounds.json")
     points = load_prescribed(fixtures_dir / "recovery_points.json")
     weight = load_ga_config(fixtures_dir / "ga_small.json").size_penalty_weight
-    scored = []
-
-    def spy(genomes, *args):
-        scored.append(len(genomes))
-        return population_fitness(genomes, *args)
-
-    with mock.patch.object(design_opt, "population_fitness", spy):
+    with mock.patch.object(design_opt, "coverage_links",
+                           wraps=design_opt.coverage_links) as spy:
         random_search(bounds, points, 257, weight, seed=9)
-    # 169 of the 257 genomes drawn are scored.
-    assert 0 < sum(scored) < 257
+    scored = sum(len(call.args[0]) for call in spy.call_args_list)
+    # 137 of the 257 genomes drawn are scored.  The others cannot beat the
+    # best so far or cannot be assembled, and take no coverage.
+    assert 0 < scored < 257
 
 
-@pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf"), True, "0.05"])
+@pytest.mark.parametrize("weight", [-0.5, 1.0, 10.0, 1e306, float("nan"), float("inf"),
+                                    True, "0.05"])
 def test_random_search_weight_is_checked_as_the_ga_weight(weight):
     with pytest.raises(ValueError, match="size_penalty_weight"):
         random_search(small_bounds(), small_points(), 5, weight, seed=9)
     with pytest.raises(ValueError, match="size_penalty_weight"):
         GaConfig(size_penalty_weight=weight)
+
+
+def assembles(genome) -> bool:
+    try:
+        RobotGeometry(*genome)
+    except ValueError:
+        return False
+    return True
+
+
+bound_ends = st.tuples(*(st.sampled_from(pair) for pair in zip(
+    small_bounds().lower().tolist(), small_bounds().upper().tolist())))
+OUT_OF_REACH = PrescribedWorkspace(points=np.array([[0.0, 0.0, -5000.0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(population=st.lists(in_bounds | bound_ends, min_size=1, max_size=12),
+       weight=st.sampled_from([0.0, 0.5, ALMOST_ONE]) | st.floats(0.0, 1.0, exclude_max=True),
+       points=st.sampled_from([small_points(), OUT_OF_REACH]))
+def test_every_assemblable_genome_scores_above_the_sentinel(population, weight, points):
+    # Genes at their upper bounds and a point out of reach give coverage 0
+    # and the largest penalty.
+    GaConfig(size_penalty_weight=weight)
+    fits = population_fitness(population, points, weight, small_bounds())
+    feasible = np.array([assembles(g) for g in population])
+    assert (fits[feasible] > INFEASIBLE).all()
+    assert (fits[~feasible] == INFEASIBLE).all()
 
 
 def test_random_search_memory_stops_growing_past_the_budget():

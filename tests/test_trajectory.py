@@ -450,6 +450,172 @@ def test_array_planner_matches_the_sample_loop(g0, case):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
 
 
+B = trajectory.STREAM_BLOCK_ROWS
+
+
+def edge_lengths(b):
+    """Stream lengths either side of one and two block edges."""
+    return sorted({1, 2, 3, b - 1, b, b + 1, 2 * b + 1} - {0})
+
+
+def report_bits(report):
+    return ([x.hex() for x in (report.max_speed, report.max_accel, report.max_joint_step,
+                               report.max_ik_residual)],
+            [(v.index, v.kind, v.value.hex(), v.limit.hex()) for v in report.violations])
+
+
+def assert_plans_match(g0, program, limits):
+    try:
+        want = oracles.plan_one_pass(g0, program, limits)
+    except UnreachableSample as exc:
+        with pytest.raises(UnreachableSample) as info:
+            plan_program(g0, program, limits)
+        got = info.value
+        assert (float(got.t).hex(), got.pose, got.arm_index) == (
+            float(exc.t).hex(), exc.pose, exc.arm_index)
+        return None
+    got = plan_program(g0, program, limits)
+    for name in ("t", "poses", "joints", "laser"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cut_programs(), data=st.data())
+def test_block_planner_matches_the_one_pass_planner(g0, case, data):
+    """Blocks of every size that puts the stream's length at 1, 2, 3,
+    B - 1, B, B + 1 or 2B + 1, or any size, so that motions, arcs and the
+    first unreachable sample fall on either side of a block edge."""
+    program, limits = case
+    try:
+        n = len(oracles.plan_one_pass(g0, program, limits))
+    except UnreachableSample:
+        n = 50  # block edges every 1 to 51 samples before the unreachable one
+    sizes = [b for b in (n + 1, n, n - 1, (n - 1) // 2) if b >= 1]
+    rows = data.draw(st.sampled_from(sizes) | st.integers(1, n + 1), label="block rows")
+    with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", rows):
+        assert_plans_match(g0, program, limits)
+
+
+def line_of_samples(n):
+    """A 40 mm line (a 0.0834 s triangle profile) whose tick gives n samples."""
+    program = line_program(length=40.0)
+    total = build_motions(program, MachineLimits())[0].total_time
+    return program, MachineLimits(tick=total * 1e13 if n == 1 else total / (n - 1.5))
+
+
+@pytest.mark.parametrize("n", edge_lengths(B))
+def test_block_planner_at_the_edge_lengths(g0, n):
+    program, limits = line_of_samples(n)
+    assert len(assert_plans_match(g0, program, limits)) == n
+
+
+def circles(count):
+    """count R 50 circles at feed 300, 426 samples each: of eight, the fifth
+    crosses the first block edge."""
+    return CutProgram(contours=circle_program().contours * count)
+
+
+def test_block_planner_across_a_block_edge_of_eight_circles(g0):
+    stream = assert_plans_match(g0, circles(8), MachineLimits())
+    assert B < len(stream) < 2 * B
+
+
+def smooth_stream(g0, n, seed):
+    """n samples 0.25 mm apart on a 30 mm circle at uneven ticks, with
+    joints solved from the poses: no finding."""
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.9, 1.1, n)) * TICK
+    ang = np.arange(n) * (0.25 / 30.0)
+    poses = np.column_stack((30.0 * np.cos(ang), 30.0 * np.sin(ang), np.full(n, -300.0)))
+    joints, _ = trajectory.inverse_kinematics_many(g0, poses)
+    return t, poses, joints
+
+
+# A defect at sample i and the findings it draws: a 3 mm jump (speed,
+# accel, ik_residual), a 0.2 mm nudge (accel and ik_residual only), a pose
+# above the base (unreachable, speed, accel) and a joint 1e-6 rad off
+# (ik_residual only).
+def jump(poses, joints, i):
+    poses[i, 0] += 3.0
+
+
+def nudge(poses, joints, i):
+    poses[i, 0] += 0.2
+
+
+def above(poses, joints, i):
+    poses[i] = (0.0, 0.0, 100.0)
+
+
+def joint(poses, joints, i):
+    joints[i, 1] += 1e-6
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), rows=st.sampled_from([B, 1, 2, 3, 5, 8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_validator_matches_the_one_pass_validator(g0, data, rows, seed):
+    """Defects on the samples either side of each block edge, in streams of
+    1, 2, 3, B - 1, B, B + 1 and 2B + 1 samples, B the block size."""
+    n = data.draw(st.sampled_from(edge_lengths(rows)), label="samples")
+    near = sorted({j * rows + d for j in (1, 2) for d in (-2, -1, 0, 1)
+                   if 0 <= j * rows + d < n} | {0, n - 1})
+    defects = data.draw(st.lists(st.tuples(st.sampled_from([jump, nudge, above, joint]),
+                                           st.sampled_from(near)), max_size=4), label="defects")
+    t, poses, joints = smooth_stream(g0, n, seed)
+    for defect, i in defects:
+        defect(poses, joints, i)
+    stream = SetpointStream(t=t, poses=poses, joints=joints, laser=np.ones(n, dtype=bool))
+    want = oracles.validate_one_pass(g0, stream)
+    with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", rows):
+        got = validate_stream(g0, stream)
+    assert report_bits(got) == report_bits(want)
+
+
+def test_block_validator_keeps_a_nan_maximum(g0):
+    # Overflowing differences: an inf / inf speed and NaN accelerations in
+    # the second block, after finite maxima in the first.
+    t, poses, joints = smooth_stream(g0, 6, 1)
+    t[:] = (-1.7e308, -1.6e308, -1.5e308, -1e308, 1e308, 1.5e308)
+    poses[3:5] = (-1e308, 0.0, 0.0), (1e308, 0.0, 0.0)
+    stream = SetpointStream(t=t, poses=poses, joints=joints, laser=np.ones(6, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = oracles.validate_one_pass(g0, stream)
+        with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", 2):
+            got = validate_stream(g0, stream)
+    assert math.isnan(want.max_speed) and math.isnan(want.max_accel)
+    assert report_bits(got) == report_bits(want)
+
+
+def peak_beyond(run):
+    """run()'s tracemalloc peak less the bytes of the arrays it returns."""
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if isinstance(got, SetpointStream):
+        peak -= sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
+    return peak
+
+
+def test_plan_and_validate_memory_does_not_grow_with_the_stream(g0):
+    programs = circles(16), circles(64)
+    streams = [plan_program(g0, p) for p in programs]  # first-use caches
+    assert [validate_stream(g0, s).ok for s in streams] == [True, True]
+    plans = [peak_beyond(lambda p=p: plan_program(g0, p)) for p in programs]
+    checks = [peak_beyond(lambda s=s: validate_stream(g0, s)) for s in streams]
+    # 6,816 and 27,264 samples, both past two block edges, since a block's
+    # temporaries live on into the next.  The planner's 48 more motion rows
+    # took 35 kB more; temporaries over the whole stream took 306 and 324
+    # bytes per sample, 6.2 and 6.6 MB more.
+    assert plans[1] < plans[0] + 64 * 1024
+    assert checks[1] < checks[0] + 64 * 1024
+
+
 special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                            1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0])
 values = special | st.floats(allow_nan=False, allow_infinity=False)
