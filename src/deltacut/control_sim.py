@@ -32,7 +32,7 @@ on the hold tick are still logged, before its motion_hold event.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +108,7 @@ class WatchdogConfig:
         object.__setattr__(self, "processes", procs)
 
     def to_dict(self) -> dict:
-        return {
-            "pulse_period": self.pulse_period,
-            "timeout": self.timeout,
-            "processes": [
-                {"name": p.name, "severity": p.severity} for p in self.processes
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,16 +142,7 @@ class FaultScript:
         object.__setattr__(self, "windows", windows)
 
     def to_dict(self) -> dict:
-        return {
-            "windows": [
-                {
-                    "process_name": w.process_name,
-                    "start_tick": w.start_tick,
-                    "end_tick": w.end_tick,
-                }
-                for w in self.windows
-            ]
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,7 +319,7 @@ def read_trace(path: str | Path) -> tuple[TraceEvent, ...]:
 
 def load_watchdog_config(path: str | Path) -> WatchdogConfig:
     with read_json(path, "watchdog config") as raw:
-        kwargs = dict(fields(raw, "top level", (), ("pulse_period", "timeout", "processes")))
+        kwargs = dict(fields(raw, "top level", (), WatchdogConfig.__dataclass_fields__))
         if "processes" in raw:
             kwargs["processes"] = _load_each(raw["processes"], "processes", "process", ProcessSpec)
         return WatchdogConfig(**kwargs)

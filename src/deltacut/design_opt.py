@@ -39,14 +39,14 @@ is pruned.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import workspace
 from .errors import as_count, as_list, as_number, fields, json_text, read_json
-from .geometry import RobotGeometry, _assembly
+from .geometry import _FILE_KEYS, RobotGeometry, _assembly
 # coverage stays importable from here: perfbench/worker.py traces the name.
 from .workspace import PrescribedWorkspace, coverage, coverage_links  # noqa: F401
 
@@ -58,7 +58,6 @@ POPULATION_BUDGET = 2 ** 20
 INFEASIBLE_FITNESS = -1.0
 _BLEND_ALPHA = 0.1
 _BASELINE_STREAM = 0xBA5E
-_GENE_NAMES = ("f", "e", "rf", "re")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +70,7 @@ class DesignBounds:
     r_e: tuple[float, float]
 
     def __post_init__(self):
-        for name in ("f", "e", "r_f", "r_e"):
+        for name in self.__dataclass_fields__:
             pair = as_list(f"{name} bounds", getattr(self, name), 2)
             lo, hi = (as_number(f"{name} bounds", value) for value in pair)
             if not 0.0 < lo < hi:
@@ -88,8 +87,7 @@ class DesignBounds:
         return float(self.upper().sum())
 
     def to_dict(self) -> dict:
-        return {"f": list(self.f), "e": list(self.e),
-                "rf": list(self.r_f), "re": list(self.r_e)}
+        return {key: list(pair) for key, pair in zip(_FILE_KEYS, astuple(self))}
 
 
 def _as_seed(seed) -> int:
@@ -380,11 +378,11 @@ def random_search(
 def load_bounds(path: str | Path) -> DesignBounds:
     """Read a bounds JSON file with keys f, e, rf, re -> [low, high] (mm)."""
     with read_json(path, "bounds file") as raw:
-        fields(raw, "top level", _GENE_NAMES)
-        return DesignBounds(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
+        fields(raw, "top level", _FILE_KEYS)
+        return DesignBounds(*(raw[key] for key in _FILE_KEYS))
 
 
 def load_ga_config(path: str | Path) -> GaConfig:
     """Read a GA config JSON file; absent keys keep their defaults."""
     with read_json(path, "config file") as raw:
-        return GaConfig(**fields(raw, "top level", (), optional=GaConfig().to_dict()))
+        return GaConfig(**fields(raw, "top level", (), optional=GaConfig.__dataclass_fields__))

@@ -8,7 +8,7 @@ z < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .errors import as_number, fields, read_json, write_json
@@ -19,6 +19,9 @@ _SQRT3 = math.sqrt(3.0)
 # theta swings the knee below the base plane.
 THETA_MIN = -math.pi / 2.0
 THETA_MAX = math.pi
+
+# The keys of geometry and gene-bounds files, in field order (f, e, r_f, r_e).
+_FILE_KEYS = ("f", "e", "rf", "re")
 
 
 def _offset(side):
@@ -51,7 +54,7 @@ class RobotGeometry:
     r_e: float
 
     def __post_init__(self):
-        for name in ("f", "e", "r_f", "r_e"):
+        for name in self.__dataclass_fields__:
             value = as_number(name, getattr(self, name))
             if value <= 0.0:
                 raise ValueError(f"{name} must be a positive length, got {value!r}")
@@ -83,7 +86,7 @@ class RobotGeometry:
         return -math.sqrt(self.r_e * self.r_e - reach * reach)
 
     def to_dict(self) -> dict:
-        return {"f": self.f, "e": self.e, "rf": self.r_f, "re": self.r_e}
+        return dict(zip(_FILE_KEYS, astuple(self)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +98,7 @@ class Pose:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
+        for name in self.__dataclass_fields__:
             object.__setattr__(self, name, as_number(name, getattr(self, name)))
 
 
@@ -108,7 +111,7 @@ class JointAngles:
     theta3: float
 
     def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
+        for name in self.__dataclass_fields__:
             value = as_number(name, getattr(self, name))
             if not (THETA_MIN < value < THETA_MAX):
                 raise ValueError(
@@ -123,8 +126,8 @@ class JointAngles:
 def load_geometry(path: str | Path) -> RobotGeometry:
     """Read a geometry JSON file with keys f, e, rf, re (mm)."""
     with read_json(path, "geometry file") as raw:
-        fields(raw, "top level", ("f", "e", "rf", "re"))
-        return RobotGeometry(f=raw["f"], e=raw["e"], r_f=raw["rf"], r_e=raw["re"])
+        fields(raw, "top level", _FILE_KEYS)
+        return RobotGeometry(*(raw[key] for key in _FILE_KEYS))
 
 
 def save_geometry(geometry: RobotGeometry, path: str | Path) -> None:

@@ -408,6 +408,7 @@ ACCEL_REL_TOL = 0.05
 IK_RESIDUAL_TOL = 1e-9
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_stream(
     geometry: RobotGeometry,
     stream: SetpointStream,

@@ -25,7 +25,7 @@ import math
 import mmap
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ _LinkColumns = namedtuple("_LinkColumns", "a b r_f r_e")
 
 _GRID_MAGIC = "deltacut-grid"
 _GRID_VERSION = 1
-_GRID_FIELDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "resolution")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +74,7 @@ class GridSpec:
     resolution: float
 
     def __post_init__(self):
-        for name in _GRID_FIELDS:
+        for name in self.__dataclass_fields__:
             object.__setattr__(self, name, as_number(name, getattr(self, name)))
         if not self.resolution > 0.0:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
@@ -121,12 +120,7 @@ class GridSpec:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-            "z_min": self.z_min, "z_max": self.z_max,
-            "resolution": self.resolution,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -417,7 +411,7 @@ def _parse_grid(data) -> WorkspaceGrid:
     if (not isinstance(header, dict) or header.get("format") != _GRID_MAGIC
             or header.get("version") != _GRID_VERSION):
         raise ValueError("unrecognised format header")
-    spec = GridSpec(**fields(header.get("bounds"), "bounds", _GRID_FIELDS))
+    spec = GridSpec(**fields(header.get("bounds"), "bounds", GridSpec.__dataclass_fields__))
     nx, ny, nz = spec.dims
     if header.get("dims") != [nx, ny, nz]:
         raise ValueError("dims do not match bounds/resolution")

@@ -311,16 +311,21 @@ def grid_counts(f, e, r_f, r_e, lo, hi, res):
 def grid_dump_bytes(grid, geometry=None) -> bytes:
     """A grid dump written the slow way: the JSON header line, then one
     '0'/'1' string per (z, y) row joined from per-cell characters."""
-    nx, ny, nz = grid.spec.dims
+    spec = grid.spec
+    nx, ny, nz = spec.dims
     header = {
         "format": "deltacut-grid",
         "version": 1,
-        "bounds": grid.spec.to_dict(),
+        "bounds": {"x_min": spec.x_min, "x_max": spec.x_max,
+                   "y_min": spec.y_min, "y_max": spec.y_max,
+                   "z_min": spec.z_min, "z_max": spec.z_max,
+                   "resolution": spec.resolution},
         "dims": [nx, ny, nz],
         "order": "x fastest, then y, then z",
     }
     if geometry is not None:
-        header["geometry"] = geometry.to_dict()
+        header["geometry"] = {"f": geometry.f, "e": geometry.e,
+                              "rf": geometry.r_f, "re": geometry.r_e}
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     digits = np.where(grid.occupancy, "1", "0")
     for iz in range(nz):

@@ -583,10 +583,15 @@ def test_block_validator_keeps_a_nan_maximum(g0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         want = oracles.validate_one_pass(g0, stream)
+    # The validator itself prints no warning, in blocks or in one block.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = validate_stream(g0, stream)
         with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", 2):
             got = validate_stream(g0, stream)
     assert math.isnan(want.max_speed) and math.isnan(want.max_accel)
     assert report_bits(got) == report_bits(want)
+    assert report_bits(whole) == report_bits(want)
 
 
 def peak_beyond(run):
