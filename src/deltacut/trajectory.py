@@ -263,10 +263,10 @@ class SetpointStream:
         poses = np.asarray(self.poses, dtype=np.float64)
         joints = np.asarray(self.joints, dtype=np.float64)
         laser = np.asarray(self.laser, dtype=bool)
-        n = t.shape[0]
+        n = t.size
         if n == 0:
             raise InvalidStream("stream has no samples")
-        if t.ndim != 1 or poses.shape != (n, 3) or joints.shape != (n, 3) or laser.shape != (n,):
+        if (t.shape, poses.shape, joints.shape, laser.shape) != ((n,), (n, 3), (n, 3), (n,)):
             raise InvalidStream("stream arrays have inconsistent shapes")
         # A block at a time, so that no check allocates per sample.
         for s in range(0, n, STREAM_BLOCK_ROWS):

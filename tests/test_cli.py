@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES, load_fixture
 from deltacut import (
     SAMPLE_BUDGET,
     JointAngles,
@@ -484,3 +485,126 @@ def test_bad_geometry_file_names_the_file_and_field(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"ValueError: geometry file {bad}: f ")
+
+
+FK_GOLDEN = load_fixture("fk_golden.json")
+
+
+def command_inputs() -> dict:
+    """The input files of the COMMANDS table, by name."""
+    rows = (FIXTURES / "line100_stream.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[4].startswith("0.00")
+    edited = {
+        # CRLF endings take np.loadtxt's pass; a digit underscore, which only
+        # float() takes, the line by line one.  Both give one trace.
+        "crlf.csv": [row + "\r" for row in rows],
+        "underscore.csv": rows[:4] + ["0.0_0" + rows[4][4:]] + rows[5:],
+        "nan.csv": rows[:4] + ["nan" + rows[4][rows[4].index(","):]] + rows[5:],
+        "header.csv": rows[:1],
+    }
+    circle = {"start": [50, 0], "z_plane": -300, "feed": 300,
+              "segments": [{"type": "arc", "end": [50, 0], "center": [0, 0]}]}
+    return {
+        **{name: "".join(row + "\n" for row in lines) for name, lines in edited.items()},
+        # The scan runs the kernel on these points' cells; three of them
+        # leave their pairs open to it.
+        "open_pairs.json": "[[0,0,-300],[-3,-273,0],[0,0,50],[-320,-100,-290],"
+                           "[200,0,1],[0,300,-20]]",
+        "circles.json": json.dumps({"contours": [circle] * 8}),
+        "fk_geometry.json": json.dumps(FK_GOLDEN["geometry"]),
+    }
+
+
+def fk_argv(thetas) -> str:
+    return "fk --geometry {tmp}/fk_geometry.json -- " + " ".join(map(repr, thetas))
+
+
+def trip(stream):
+    """simulate of a copy of line100_stream.csv under the motion fault, which
+    stops it at its tick 25 with the golden trace."""
+    return [(f"simulate --stream {stream} --faults {{fx}}/faults_motion20.json "
+             "--out {tmp}/trace.txt", 1,
+             {"stdout": ["status=aborted", "failed=motion", "final_tick=25",
+                         "final_pose=-9.2391304347826093 0 -300"],
+              "out": "trace_motion_trip.txt"})]
+
+
+# Each case runs its commands in order, in a directory that holds
+# command_inputs(); in an argument, {fx} is the fixtures directory and {tmp}
+# that directory.  A command exits with its code, and its expectations are:
+# "stdout", lines among those it prints; "stderr", all it prints there; "out",
+# the fixture its --out file equals byte for byte; "pose", the three numbers
+# it prints, each to within 1e-9.
+COMMANDS = {
+    "frozen_scan": [("workspace --geometry {fx}/g0.json --bounds -300 300 -300 300 -550 -50 "
+                     "--resolution 10 --prescribed {fx}/prescribed_mixed10.json "
+                     "--out {tmp}/grid.txt", 0,
+                     {"stdout": ["cells=83276", "total=180000",
+                                 "coverage=0.69999999999999996"]})],
+    # The 10 mm box across the base plane runs the kernel alone on its cells
+    # above the plane.
+    "plane_scan": [("workspace --geometry {fx}/g0.json --bounds -300 300 -300 300 -550 50 "
+                    "--resolution 10 --out {tmp}/grid.txt", 0,
+                    {"stdout": ["cells=83762", "total=216000"]})],
+    # The 6 mm default scan runs it on its band cells and on its top layer,
+    # centred at z = +1 mm.
+    "default_scan": [("workspace --geometry {fx}/g0.json --resolution 6 "
+                      "--prescribed {tmp}/open_pairs.json --out {tmp}/grid.txt", 0,
+                      {"stdout": ["cells=450406", "total=3360000", "coverage=0.5"]})],
+    "ga_small": [("optimize --bounds {fx}/bounds.json --prescribed {fx}/recovery_points.json "
+                  "--config {fx}/ga_small.json --out {tmp}/ga.json", 0,
+                  {"out": "ga_small_result.json"})],
+    "ga_default": [("optimize --bounds {fx}/bounds.json --prescribed {fx}/recovery_points.json "
+                    "--seed 7 --out {tmp}/ga.json", 0, {"out": "ga_default_result.json"})],
+    "plan_circle50": [("plan --geometry {fx}/g0.json --program {fx}/programs/circle50.json "
+                       "--out {tmp}/stream.csv", 0, {"out": "circle50_stream.csv"})],
+    "plan_multi": [("plan --geometry {fx}/g0.json --program {fx}/programs/multi.json "
+                    "--out {tmp}/stream.csv", 0, {"out": "multi_stream.csv"})],
+    "simulate_circle50": [("simulate --stream {fx}/circle50_stream.csv --out {tmp}/trace.txt",
+                           0, {"stdout": ["status=complete"]})],
+    "simulate_multi": [("simulate --stream {fx}/multi_stream.csv --out {tmp}/trace.txt",
+                        0, {"stdout": ["status=complete"]})],
+    "crlf_stream": trip("{tmp}/crlf.csv"),
+    "underscore_stream": trip("{tmp}/underscore.csv"),
+    "header_only_stream": [("simulate --stream {tmp}/header.csv --out {tmp}/trace.txt", 1,
+                            {"stderr": ["InvalidStream: stream file {tmp}/header.csv "
+                                        "has no samples"]})],
+    "nan_stream": [("simulate --stream {tmp}/nan.csv --out {tmp}/trace.txt", 1,
+                    {"stderr": ["InvalidStream: stream file {tmp}/nan.csv: line 5: "
+                                "t must be finite, got nan"]})],
+    # The golden streams fit in one block of STREAM_BLOCK_ROWS (2,048)
+    # samples; eight circles take 3,408, so plan and simulate cross an edge.
+    "eight_circles": [
+        ("plan --geometry {fx}/g0.json --program {tmp}/circles.json --out {tmp}/circles.csv",
+         0, {"stdout": ["samples=3408"]}),
+        ("simulate --stream {tmp}/circles.csv --out {tmp}/trace.txt", 0,
+         {"stdout": ["status=complete", "final_tick=3407"]})],
+    **{f"fk_golden_{i}": [(fk_argv(case["thetas"]), 0, {"pose": case["pose"]})]
+       for i, case in enumerate(FK_GOLDEN["cases"])},
+    "fk_singular": [(fk_argv(FK_GOLDEN["singular"]), 1, {"stderr": [
+        "Singular: shifted sphere centres are collinear or coincident"]})],
+    "fk_no_solution": [(fk_argv(FK_GOLDEN["no_solution"]), 1, {"stderr": [
+        "NoSolution: forearm spheres share no common point"]})],
+}
+
+
+@pytest.mark.parametrize("case", list(COMMANDS))
+def test_command_line_table(capsys, tmp_path, case):
+    for name, text in command_inputs().items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    for argv, code, expect in COMMANDS[case]:
+        args = [arg.format(fx=FIXTURES, tmp=tmp_path) for arg in argv.split()]
+        assert app(args) == code
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert set(expect.get("stdout", ())) <= set(lines), lines
+        if "stderr" in expect:
+            assert captured.err.splitlines() == [line.format(tmp=tmp_path)
+                                                 for line in expect["stderr"]]
+        if "out" in expect:
+            out = Path(args[args.index("--out") + 1])
+            assert out.read_bytes() == (FIXTURES / expect["out"]).read_bytes()
+        if "pose" in expect:
+            got = [float(v) for v in captured.out.split()]
+            assert len(got) == 3
+            assert max(abs(g - w) for g, w in zip(got, expect["pose"])) < 1e-9, got

@@ -1,18 +1,18 @@
 """Every JSON writer: its bytes, and load(save(x)) == x.
 
-The literal cases pin the bytes each writer gives for a known value; the
-properties check, for generated valid values, that a file reads back as the
-value that wrote it and that writing that value again gives the same bytes.
+The literal cases pin the bytes each writer gives for a known value and for
+the fixture files it wrote; the properties check, for generated valid values,
+that a file reads back as the value that wrote it and that writing that value
+again gives the same bytes.
 """
 
-import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltacut import (
@@ -36,9 +36,8 @@ from deltacut import (
     save_geometry,
     save_watchdog_config,
 )
-from deltacut.errors import json_text, write_json
+from deltacut.errors import write_json
 from deltacut.geometry import _assembly
-from test_loaders import LOADERS, _cli_error, _paths, _replace, json_values
 
 FOUR_PROCESSES = WatchdogConfig(pulse_period=2, timeout=5, processes=(
     ProcessSpec("laser", "advisory"), ProcessSpec("coolant", "critical"),
@@ -175,6 +174,16 @@ def test_bounds_bytes():
     )
 
 
+@pytest.mark.parametrize("name, load, save", [
+    ("g0.json", load_geometry, save_geometry),
+    ("bounds.json", load_bounds, _save_bounds),
+    ("faults_motion20.json", load_fault_script, save_fault_script),
+    ("faults_logging_10_12.json", load_fault_script, save_fault_script),
+])
+def test_a_fixture_saves_back_to_its_own_bytes(fixtures_dir, name, load, save):
+    assert _bytes(save, load(fixtures_dir / name)) == (fixtures_dir / name).read_bytes()
+
+
 lengths = st.floats(min_value=1e-3, max_value=1e100)
 
 
@@ -268,24 +277,3 @@ def test_a_saved_value_loads_back_and_saves_the_same_bytes(name, data):
         again = load(path)
         assert again == value
         assert _bytes(save, again) == path.read_bytes()
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_any_one_replaced_process_field_loads_or_names_the_file(tmp_path, data):
-    # test_loaders' rule on the watchdog process table.  Its document is
-    # WatchdogConfig().to_dict(), whose table is a tuple that its walk does
-    # not enter, so this walks the table as the file holds it.
-    label, loader, _, cli = LOADERS["watchdog"]
-    doc = json.loads(json_text(WatchdogConfig().to_dict()))
-    paths = [path for path in _paths(doc) if path[:1] == ("processes",) and len(path) > 1]
-    path = data.draw(st.sampled_from(paths), label="path")
-    value = data.draw(json_values, label="value")
-    bad = tmp_path / "input.json"
-    bad.write_text(json.dumps(_replace(doc, path, value)), encoding="utf-8")
-    try:
-        loader(bad)
-    except ValueError as exc:
-        assert str(exc).startswith(f"{label} {bad}:")
-        assert _cli_error(cli, bad, tmp_path).startswith(f"ValueError: {label} {bad}:")

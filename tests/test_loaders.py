@@ -38,6 +38,7 @@ from deltacut import (
     load_watchdog_config,
 )
 from deltacut.cli import app
+from deltacut.errors import json_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,8 +73,8 @@ LOADERS = {
     "program": ("program file", load_program, _fixture("programs/multi.json"),
                 lambda bad, out: ["plan", "--geometry", str(FIXTURES / "g0.json"),
                                   "--program", bad, "--out", out]),
-    "watchdog": ("watchdog config", load_watchdog_config, WatchdogConfig().to_dict(),
-                 _simulate("--config")),
+    "watchdog": ("watchdog config", load_watchdog_config,
+                 json.loads(json_text(WatchdogConfig().to_dict())), _simulate("--config")),
     "faults": ("fault script", load_fault_script, _fixture("faults_logging_10_12.json"),
                _simulate("--faults")),
 }

@@ -305,6 +305,9 @@ def test_stream_requires_consistent_shapes():
     with pytest.raises(InvalidStream):
         SetpointStream(t=np.array([0.0, 1.0]), poses=np.zeros((3, 3)),
                        joints=np.zeros((2, 3)), laser=np.zeros(2, dtype=bool))
+    # A scalar time has no length to compare the others with.
+    with pytest.raises(InvalidStream, match="^stream arrays have inconsistent shapes$"):
+        SetpointStream(t=1.0, poses=[[0, 0, -300]], joints=[[0, 0, 0]], laser=[True])
 
 
 def test_validator_passes_planned_streams(g0):
