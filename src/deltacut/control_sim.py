@@ -120,7 +120,7 @@ class FaultWindow:
     end_tick: int
 
     def __post_init__(self):
-        if not (isinstance(self.process_name, str) and self.process_name):
+        if not _trace_text("process_name", self.process_name):
             raise ValueError("process_name must be a non-empty string")
         s = as_count("start_tick", self.start_tick, 0)
         e = as_count("end_tick", self.end_tick, 0)

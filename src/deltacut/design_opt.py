@@ -5,9 +5,10 @@ a prescribed point set and charges a size penalty; genomes that cannot be
 assembled score a -1.0 sentinel.  All randomness flows from one seed through
 a documented stream layout, so runs are reproducible byte for byte:
 
-    SeedSequence(seed).spawn(generations + 1)
-        child 0      initial population
-        child g      all draws of generation g, consumed in slot order
+    SeedSequence(seed, spawn_key=(g,)), SeedSequence(seed).spawn's child g,
+    built when generation g starts:
+        g = 0        initial population
+        g >= 1       all draws of generation g, consumed in slot order
                      (parent tournaments, crossover, mutation per offspring)
 
 A slot draws its two tournaments' entrants, one crossover coin, four blend
@@ -276,9 +277,8 @@ def run_ga(
     sigma = cfg.mutation_sigma_fraction * span
     elite = cfg.elitism_count
 
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.generations + 1)
-
-    init_rng = np.random.default_rng(streams[0])
+    # Generation g draws from SeedSequence(seed).spawn's child g.
+    init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
     population = init_rng.uniform(lo, hi, size=(pop_size, 4))
 
     fits = population_fitness(population, prescribed, cfg.size_penalty_weight, bounds)
@@ -289,7 +289,8 @@ def run_ga(
     best_fit = float(fits[best_idx])
 
     for gen in range(1, cfg.generations + 1):
-        entrants, cross, blend, noise = _draw_slots(streams[gen], pop_size - elite, cfg)
+        entrants, cross, blend, noise = _draw_slots(
+            np.random.SeedSequence(cfg.seed, spawn_key=(gen,)), pop_size - elite, cfg)
         order = _rank(fits)
         # A tournament's winner is its entrant with the best place in order.
         place = np.empty_like(order)

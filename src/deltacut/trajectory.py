@@ -34,7 +34,6 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +50,12 @@ _CSV_ROW = np.dtype([("v", np.float64, (7,)), ("l", np.int8)])
 _ARC_RADIUS_TOL = 1e-6
 _FULL_CIRCLE_TOL = 1e-9
 
-# Most samples plan_program plans and validate_stream audits, stream CSV
-# rows write_stream_csv formats, and lines read_stream_csv's line by line
-# path parses, at once, so that their temporaries stay a fixed size whatever
-# the stream length: about 1 MB to plan a block, 0.6 MB to validate one, 4 MB
-# to write one and 2 MB to read one (tracemalloc).  Either CSV side takes as
-# long per row at 2,048 as at 4,096.  np.loadtxt, which reads every other
-# file, sizes its own chunks.
+# Most samples plan_program plans and validate_stream audits, and stream CSV
+# rows write_stream_csv formats, at once, so that their temporaries stay a
+# fixed size whatever the stream length: about 1 MB to plan a block, 0.6 MB
+# to validate one and 4 MB to write one (tracemalloc).  The writer takes as
+# long per row at 2,048 as at 4,096.  read_stream_csv reads no blocks:
+# np.loadtxt sizes its own chunks, and its line walk keeps one line at a time.
 STREAM_BLOCK_ROWS = 2048
 
 # Most samples plan_program plans for one program.  Its peak is the stream,
@@ -588,8 +586,8 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
     in C into one record array, which the stream's arrays view.  A file it
     refuses or warns on, whose values fail the stream's checks, or that
     holds a byte 0x1C-0x1F (numpy strips these, float() refuses them), is
-    read again by _parse_lines, STREAM_BLOCK_ROWS lines at a time, into an
-    array sized by one count of the file's line ends.
+    read again line by line with float() and int(), each row into an array
+    sized by one count of the file's line ends.
     """
     with open(path, "rb") as raw:
         # Line ends, at least the data rows: each LF, and each CR not
@@ -629,45 +627,33 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
                                           laser=record["l"].view(bool))
             fh.seek(0)
             fh.readline()
-        table, n, ln, prev_t = np.empty((cap, 8)), 0, 2, -math.inf
-        while lines := list(islice(fh, STREAM_BLOCK_ROWS)):
-            if rows := _parse_lines(path, lines, ln, prev_t):
-                table[n:n + len(rows)] = rows
-                n, prev_t = n + len(rows), rows[-1][0]
-            ln += len(lines)
+        table, n, prev_t = np.empty((cap, 8)), 0, -math.inf
+        for ln, line in enumerate(fh, start=2):
+            row = line.rstrip("\n").split(",")
+            if row == [""]:
+                continue
+            where = f"stream file {path}: line {ln}"
+            if len(row) != 8:
+                raise InvalidStream(f"{where} has {len(row)} fields")
+            try:
+                values = [float(v) for v in row[:7]]
+                flag = int(row[7])
+            except ValueError as exc:
+                raise InvalidStream(f"{where}: {exc}") from exc
+            if flag not in (0, 1):
+                raise InvalidStream(f"{where}: laser must be 0 or 1")
+            for name, value in zip(_CSV_HEADER, values):
+                if not math.isfinite(value):
+                    raise InvalidStream(f"{where}: {name} must be finite, got {value}")
+            if not values[0] > prev_t:
+                raise InvalidStream(f"{where}: timestamps must be strictly increasing")
+            table[n] = values + [flag]
+            n, prev_t = n + 1, values[0]
     if n == 0:
         raise InvalidStream(f"stream file {path} has no samples")
     table.resize((n, 8), refcheck=False)
     return SetpointStream(t=table[:, 0], poses=table[:, 1:4], joints=table[:, 4:7],
                           laser=table[:, 7])
-
-
-def _parse_lines(path, lines: list[str], first: int, prev_t: float) -> list[list[float]]:
-    """The values and laser flag of each non-blank line of a block from line
-    first, by float() and int(); InvalidStream names the first bad line."""
-    rows = []
-    for ln, line in enumerate(lines, start=first):
-        row = line.rstrip("\n").split(",")
-        if row == [""]:
-            continue
-        where = f"stream file {path}: line {ln}"
-        if len(row) != 8:
-            raise InvalidStream(f"{where} has {len(row)} fields")
-        try:
-            values = [float(v) for v in row[:7]]
-            flag = int(row[7])
-        except ValueError as exc:
-            raise InvalidStream(f"{where}: {exc}") from exc
-        if flag not in (0, 1):
-            raise InvalidStream(f"{where}: laser must be 0 or 1")
-        for name, value in zip(_CSV_HEADER, values):
-            if not math.isfinite(value):
-                raise InvalidStream(f"{where}: {name} must be finite, got {value}")
-        if not values[0] > prev_t:
-            raise InvalidStream(f"{where}: timestamps must be strictly increasing")
-        prev_t = values[0]
-        rows.append(values + [flag])
-    return rows
 
 
 def load_program(path: str | Path) -> CutProgram:

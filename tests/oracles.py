@@ -26,8 +26,9 @@ the validator reads two samples past each block; the same streams and
 reports come out.
 
 read_stream_rows is the stream reader as it first ran: csv.reader, one row
-and one float() per field at a time.  The package parses blocks of lines at
-once and also names the line of a non-finite or out-of-order value.
+and one float() per field at a time.  The package parses a whole file with
+np.loadtxt, walks the lines of a file numpy refuses with float() and int(),
+and also names the line of a non-finite or out-of-order value.
 
 run_ga_slots is the GA as it first bred: one offspring slot at a time, two
 tournaments of min() over a (-fitness, index) key, then crossover and

@@ -461,6 +461,8 @@ def test_stream_with_a_non_utf8_byte_names_the_file_and_line(capsys, fixtures_di
      "size_penalty_weight"),
     (["simulate", "--stream", "line100_stream.csv"], "--config",
      '{"processes": [{"name": "log\\tging", "severity": "advisory"}]}', "process 0"),
+    (["simulate", "--stream", "line100_stream.csv"], "--faults",
+     '[{"process_name": "mo\\ttion", "start_tick": 5, "end_tick": 9}]', "window 0"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):

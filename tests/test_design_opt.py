@@ -244,6 +244,34 @@ def test_population_fitness_memory_is_bounded():
     assert peak < 8_000_000
 
 
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("generations", [10**5, 10**20])
+def test_a_huge_generation_count_builds_no_stream_before_generation_one(generations):
+    # population_fitness's second call scores generation 1's children.  Built
+    # up front, 10**5 streams peaked at 35.8 MiB, and 10**20 overflowed spawn().
+    calls = []
+
+    def fitness(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise Stop
+        return population_fitness(*args)
+
+    cfg = GaConfig(population_size=4, generations=generations)
+    with mock.patch.object(design_opt, "population_fitness", fitness):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_ga(small_bounds(), small_points(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("budget", [2.5, True, "3"])
 def test_random_search_budget_must_be_a_count(budget):
     with pytest.raises(ValueError, match="evaluations must be an integer"):

@@ -785,20 +785,12 @@ def test_line_by_line_read_memory_is_bounded(tmp_path):
     write_stream_csv(stream, path)
     # A digit underscore, which np.loadtxt refuses, on the second row.
     path.write_text(path.read_text().replace("\n0.0025", "\n0.002_5", 1))
-    parse, blocks = trajectory._parse_lines, []
-
-    def walk(path, lines, first, prev_t):
-        blocks.append(first)  # a Mock would keep every block's lines
-        return parse(path, lines, first, prev_t)
-
-    with mock.patch.object(trajectory, "_parse_lines", walk):
-        tracemalloc.start()
-        try:
-            got = read_stream_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert len(blocks) == -(-50_000 // trajectory.STREAM_BLOCK_ROWS)
+    tracemalloc.start()
+    try:
+        got = read_stream_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for name in ("t", "poses", "joints", "laser"):
         assert bits(getattr(got, name)) == bits(getattr(stream, name)), name
     result = sum(getattr(got, name).nbytes for name in ("t", "poses", "joints", "laser"))
@@ -818,26 +810,30 @@ def test_stream_write_memory_is_bounded(tmp_path):
     assert peak < 6 * 2**20
 
 
+def views_of_one_record_array(stream):
+    """Whether the four arrays are read-only views of one array, as only
+    np.loadtxt's record array gives: the line walk's laser is a bool copy."""
+    arrays = [stream.t, stream.poses, stream.joints, stream.laser]
+    return all(a.base is arrays[0].base and not a.flags.writeable for a in arrays)
+
+
 def test_written_streams_never_take_the_line_by_line_path(g0, fixtures_dir, tmp_path):
     streams = [plan_program(g0, load_program(fixtures_dir / f"programs/{name}.json"))
                for name in ("circle50", "line100", "multi")]
     streams += [hard_stream(), long_stream(5000)]
-    with mock.patch.object(trajectory, "_parse_lines", wraps=trajectory._parse_lines) as walk:
-        for i, stream in enumerate(streams):
-            path = tmp_path / f"{i}.csv"
-            write_stream_csv(stream, path)
-            got = read_stream_csv(path)
-            for name in ("t", "poses", "joints", "laser"):
-                assert bits(getattr(got, name)) == bits(getattr(stream, name)), (i, name)
-    walk.assert_not_called()
+    for i, stream in enumerate(streams):
+        path = tmp_path / f"{i}.csv"
+        write_stream_csv(stream, path)
+        got = read_stream_csv(path)
+        for name in ("t", "poses", "joints", "laser"):
+            assert bits(getattr(got, name)) == bits(getattr(stream, name)), (i, name)
+        assert views_of_one_record_array(got), i
 
 
 def test_read_arrays_are_read_only_views_of_one_record_array(g0, tmp_path):
     path = tmp_path / "stream.csv"
     write_stream_csv(plan_program(g0, line_program()), path)
-    got = read_stream_csv(path)
-    arrays = [got.t, got.poses, got.joints, got.laser]
-    assert all(a.base is arrays[0].base and not a.flags.writeable for a in arrays)
+    assert views_of_one_record_array(read_stream_csv(path))
 
 
 @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\r", "\n\n\n"])
@@ -845,12 +841,12 @@ def test_a_file_with_no_rows_is_refused_without_a_warning(body):
     text = ",".join(trajectory._CSV_HEADER) + "\n" + body
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, want = read_both(text, 7)
+        got, want = read_both(text)
     assert got == want
     assert got[0] is InvalidStream and got[1].endswith(" has no samples"), got
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, want = read_both(text, 7)
+        got, want = read_both(text)
     assert got == want
     assert not caught
 
@@ -861,9 +857,50 @@ def test_a_unit_separator_at_a_field_end_is_refused(separator, column):
     # np.loadtxt strips these four as whitespace; float() and int() refuse them.
     fields = ["0", "0", "0", "-300", "0", "0", "0", "1"]
     fields[column] += separator
-    got, want = read_both(",".join(trajectory._CSV_HEADER) + "\n" + ",".join(fields) + "\n", 7)
+    got, want = read_both(",".join(trajectory._CSV_HEADER) + "\n" + ",".join(fields) + "\n")
     assert got == want
     assert got[0] is InvalidStream and ": line 2: " in got[1], got
+
+
+ROW_TAIL = ",2.0,-300.0,0.1,0.2,0.3,"
+
+
+def mib_stream(end, x_end, after_x=""):
+    """A stream past 1 MiB, its lines ended by end, in which one row's x
+    field is padded with zeros to end at byte x_end, and after_x follows it."""
+    parts = [",".join(trajectory._CSV_HEADER) + end]
+    size, i = len(parts[0]), 0
+    while size + 64 < x_end:
+        parts.append(f"{i * 0.0025!r},1.5{ROW_TAIL}{i % 2}{end}")
+        size, i = size + len(parts[-1]), i + 1
+    head = f"{i * 0.0025!r},1.5"
+    parts.append(head + "0" * (x_end - size - len(head)) + after_x + ROW_TAIL + "1" + end)
+    parts += [f"{j * 0.0025!r},1.5{ROW_TAIL}{j % 2}{end}" for j in range(i + 1, i + 1000)]
+    return "".join(parts)
+
+
+def test_a_crlf_split_across_the_line_count_chunks(tmp_path):
+    # The line-end count reads 1 MiB chunks: this \r ends the first, its \n
+    # starts the second.
+    text = mib_stream("\r\n", 2**20 - 1 - len(ROW_TAIL) - 1)
+    assert text[2**20 - 1:2**20 + 1] == "\r\n"
+    # The same bytes, then with "2.0" on the first row spelled "2_0", which
+    # np.loadtxt refuses and float() takes.
+    for text, fast in ((text, True), (text.replace(",2.0,", ",2_0,", 1), False)):
+        got, want = read_both(text)
+        assert isinstance(want, list) and got == want
+        path = tmp_path / "stream.csv"
+        path.write_bytes(text.encode())
+        assert views_of_one_record_array(read_stream_csv(path)) is fast
+
+
+def test_a_unit_separator_starting_a_line_count_chunk_is_refused():
+    text = mib_stream("\n", 2**20, "\x1c")
+    assert text[2**20] == "\x1c"
+    got, want = read_both(text)
+    assert got == want
+    line = text[:2**20].count("\n") + 1
+    assert got[0] is InvalidStream and f": line {line}: " in got[1], got
 
 
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
@@ -933,10 +970,6 @@ def layouts(draw, lines):
     return text, numbers
 
 
-def block_sizes(n):
-    return st.sampled_from([1, 2, 7]) | st.integers(1, n + 2)
-
-
 def outcome(read, path):
     """The four arrays' bits, or the exception's type and message."""
     try:
@@ -947,14 +980,13 @@ def outcome(read, path):
     return [bits(getattr(stream, name)) for name in ("t", "poses", "joints", "laser")]
 
 
-def read_both(text, block_rows):
-    """The oracle's and the block reader's outcomes on one file."""
+def read_both(text):
+    """The package's and the oracle's outcomes on one file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "stream.csv")
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         want = outcome(oracles.read_stream_rows, path)
-        with mock.patch.object(trajectory, "STREAM_BLOCK_ROWS", block_rows):
-            got = outcome(read_stream_csv, path)
+        got = outcome(read_stream_csv, path)
     return got, want
 
 
@@ -963,7 +995,7 @@ def read_both(text, block_rows):
 def test_block_reader_matches_the_row_reader(data):
     lines = data.draw(data_lines())
     text, _ = data.draw(layouts([",".join(f) for f in lines]))
-    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    got, want = read_both(text)
     assert isinstance(want, list), want
     assert got == want
 
@@ -1000,7 +1032,7 @@ def test_block_reader_refuses_what_the_row_reader_refuses(data):
     for i in sorted(damaged, reverse=True):
         data.draw(corruptions(lines, i))
     text, _ = data.draw(layouts([",".join(f) for f in lines]))
-    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    got, want = read_both(text)
     assert got == want
 
 
@@ -1015,7 +1047,7 @@ def test_block_reader_names_the_line_of_a_non_finite_or_early_time(data):
         j = data.draw(st.integers(0, 6))
         lines[i][j] = data.draw(st.sampled_from(["nan", "inf", "-inf", " -Infinity ", "NaN"]))
     text, numbers = data.draw(layouts([",".join(f) for f in lines]))
-    got, want = read_both(text, data.draw(block_sizes(len(lines))))
+    got, want = read_both(text)
     assert want[0] is InvalidStream
     assert got[0] is InvalidStream
     assert f": line {numbers[i]}: " in got[1], got[1]
