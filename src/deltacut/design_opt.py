@@ -170,16 +170,16 @@ class GaResult:
 
 def _assembled(genomes: np.ndarray, size_penalty_weight: float, bounds: DesignBounds):
     """Which (f, e, r_f, r_e) rows of genomes RobotGeometry would take, and
-    for those rows the link fields (a, b, r_f, r_e) and the size penalty
+    for every row the link fields (a, b, r_f, r_e) and the size penalty
     weight * (f + e + r_f + r_e) / (sum of upper bounds)."""
     # NaN, infinite and overflowing genes fail the mask without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, _, assembles = _assembly(*genomes.T)
         feasible = (assembles & (genomes > 0.0).all(axis=1)
                     & np.isfinite(genomes * genomes).all(axis=1))
-    f, e, r_f, r_e = genomes[feasible].T
-    links = np.stack((a[feasible], b[feasible], r_f, r_e), axis=1)
-    return feasible, links, size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
+        f, e, r_f, r_e = genomes.T
+        penalty = size_penalty_weight * (f + e + r_f + r_e) / bounds.sum_upper()
+    return feasible, np.stack((a, b, r_f, r_e), axis=1), penalty
 
 
 def population_fitness(
@@ -194,7 +194,7 @@ def population_fitness(
     feasible, links, penalty = _assembled(genomes, size_penalty_weight, bounds)
     fits = np.full(len(genomes), INFEASIBLE_FITNESS)
     if feasible.any():
-        fits[feasible] = coverage_links(links, prescribed) - penalty
+        fits[feasible] = coverage_links(links[feasible], prescribed) - penalty[feasible]
     return fits
 
 
@@ -358,17 +358,14 @@ def random_search(
         size = (min(POPULATION_BUDGET, evaluations - start), 4)
         genomes = rng.uniform(bounds.lower(), bounds.upper(), size=size)
         feasible, links, penalty = _assembled(genomes, size_penalty_weight, bounds)
-        bound = np.full(len(genomes), INFEASIBLE_FITNESS)
-        bound[feasible] = 1.0 - penalty
-        # Each feasible genome's row of links and penalty.
-        row = np.cumsum(feasible) - 1
+        bound = np.where(feasible, 1.0 - penalty, INFEASIBLE_FITNESS)
         rest = np.flatnonzero(bound > best_fit)
         while len(rest):
             batch, rest = rest[:rows], rest[rows:]
             # population_fitness of the batch, from the links built above.
             fits = bound[batch]
             live = feasible[batch]
-            scored = row[batch[live]]
+            scored = batch[live]
             fits[live] = coverage_links(links[scored], prescribed) - penalty[scored]
             if (fit := fits.max()) > best_fit:
                 best, best_fit = genomes[batch[fits.argmax()]].copy(), float(fit)

@@ -3,8 +3,8 @@
 DomainError subclasses describe mechanisms or inputs that are internally
 consistent but cannot be satisfied (a pose outside the workspace, a fault
 that aborts a run).  Malformed files and violated type invariants raise
-plain ValueError instead; the CLI maps the two groups to different exit
-codes.
+ValueError instead, or one of its subclasses CellBudgetExceeded and
+InvalidStream; the CLI maps the two groups to exit codes 1 and 2.
 
 Every JSON input is checked by the same few helpers, so one malformed value
 gets the same treatment in every file:
@@ -168,7 +168,7 @@ class EmptyProgram(DomainError):
     """A cut program contains no contours."""
 
 
-class InvalidStream(DomainError):
+class InvalidStream(ValueError):
     """A setpoint stream violates its ordering or shape contract."""
 
 

@@ -587,17 +587,12 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
     refuses or warns on, whose values fail the stream's checks, or that
     holds a byte 0x1C-0x1F (numpy strips these, float() refuses them), is
     read again line by line with float() and int(), each row into an array
-    sized by one count of the file's line ends.
+    sized by a count of the lines after the header.
     """
     with open(path, "rb") as raw:
-        # Line ends, at least the data rows: each LF, and each CR not
-        # followed by LF in the same chunk (a CRLF split across two chunks
-        # counts twice, which only over-sizes the array).
-        cap, separators = 0, False
+        # Whether the file holds a byte that numpy strips and float() refuses.
+        separators = False
         for chunk in iter(lambda: raw.read(1 << 20), b""):
-            cap += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            if b"\r" in chunk:
-                cap += chunk.count(b"\r") - chunk.count(b"\r\n")
             separators = separators or any(
                 c in chunk for c in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
         raw.seek(0)
@@ -625,8 +620,10 @@ def read_stream_csv(path: str | Path) -> SetpointStream:
                 with contextlib.suppress(InvalidStream):
                     return SetpointStream(t=v[:, 0], poses=v[:, 1:4], joints=v[:, 4:7],
                                           laser=record["l"].view(bool))
-            fh.seek(0)
-            fh.readline()
+        fh.seek(0)
+        cap = sum(1 for _ in fh) - 1  # the lines after the header
+        fh.seek(0)
+        fh.readline()
         table, n, prev_t = np.empty((cap, 8)), 0, -math.inf
         for ln, line in enumerate(fh, start=2):
             row = line.rstrip("\n").split(",")

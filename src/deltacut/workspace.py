@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CellBudgetExceeded, as_list, as_number, fields, naming, read_json, write_json
+from .errors import (CellBudgetExceeded, as_count, as_list, as_number, fields, naming, read_json,
+                     write_json)
 from .geometry import RobotGeometry
 from .kinematics import _TINY, _arm_bounds, _plane_cut, _reach_verdict, _reachable, reachable_mask
 
@@ -408,12 +409,13 @@ def _parse_grid(data) -> WorkspaceGrid:
         header = json.loads(data[:end].decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad header ({exc})") from exc
-    if (not isinstance(header, dict) or header.get("format") != _GRID_MAGIC
-            or header.get("version") != _GRID_VERSION):
+    fields(header, "header", ("format", "version", "bounds", "dims"), ("order", "geometry"))
+    if (header["format"] != _GRID_MAGIC
+            or as_count("version", header["version"], 1) != _GRID_VERSION):
         raise ValueError("unrecognised format header")
-    spec = GridSpec(**fields(header.get("bounds"), "bounds", GridSpec.__dataclass_fields__))
+    spec = GridSpec(**fields(header["bounds"], "bounds", GridSpec.__dataclass_fields__))
     nx, ny, nz = spec.dims
-    if header.get("dims") != [nx, ny, nz]:
+    if [as_count("dims", n, 1) for n in as_list("dims", header["dims"], 3)] != [nx, ny, nz]:
         raise ValueError("dims do not match bounds/resolution")
 
     body = np.frombuffer(data, dtype=np.uint8)[end + 1:]

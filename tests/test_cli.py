@@ -245,6 +245,8 @@ def plan_contours(second: dict) -> str:
      "ValueError: contour 1 segment 1: zero-length line segment"),
     ({"feed": 900, "segments": [{"type": "line", "end": [60, 10]}]}, 1,
      "InvalidFeed: contour 1: feed 900.0 exceeds v_max 800.0"),
+    ({"segments": [{"type": "arc", "end": [60, 0], "center": [60, 0]}]}, 2,
+     "ValueError: contour 1 segment 0: arc radius must be positive"),
 ])
 def test_plan_errors_name_the_contour_and_segment(capsys, fixtures_dir, tmp_path,
                                                   second, code, text):
@@ -272,6 +274,16 @@ def test_plan_over_the_sample_budget_is_a_usage_error(capsys, fixtures_dir, tmp_
     assert captured.out == "" and not out.exists()
     assert captured.err.splitlines()[-1] == (
         f"ValueError: program needs {need}, budget is {SAMPLE_BUDGET}")
+
+
+def test_plan_with_a_zero_tick_is_a_usage_error(capsys, fixtures_dir, tmp_path):
+    out = tmp_path / "out.csv"
+    assert app(["plan", "--geometry", str(fixtures_dir / "g0.json"),
+                "--program", str(fixtures_dir / "programs/line100.json"),
+                "--out", str(out), "--tick", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "ValueError: tick must be positive, got 0.0\n"
 
 
 def test_optimize_over_the_population_budget_is_a_usage_error(capsys, fixtures_dir, tmp_path):
@@ -422,7 +434,7 @@ def test_corrupt_stream_is_a_usage_error(capsys, tmp_path):
     bad.write_text("t,x,y\n0,1,2\n", encoding="utf-8")
     code = app(["simulate", "--stream", str(bad),
                 "--out", str(tmp_path / "trace.txt")])
-    assert code == 1  # malformed stream is a domain failure, not a crash
+    assert code == 2  # a malformed stream is a file-format error, not a crash
     assert "InvalidStream" in capsys.readouterr().err
 
 
@@ -434,7 +446,7 @@ def test_stream_with_a_non_utf8_byte_names_the_file_and_line(capsys, fixtures_di
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"\n".join(lines))
     code = app(["simulate", "--stream", str(bad), "--out", str(tmp_path / "trace.txt")])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"InvalidStream: stream file {bad}: line 5: could not convert")
     assert "Traceback" not in err and "UnicodeDecodeError" not in err
@@ -463,6 +475,25 @@ def test_stream_with_a_non_utf8_byte_names_the_file_and_line(capsys, fixtures_di
      '{"processes": [{"name": "log\\tging", "severity": "advisory"}]}', "process 0"),
     (["simulate", "--stream", "line100_stream.csv"], "--faults",
      '[{"process_name": "mo\\ttion", "start_tick": 5, "end_tick": 9}]', "window 0"),
+    (["simulate", "--stream", "line100_stream.csv"], "--config",
+     '{"processes": [{"name": "", "severity": "advisory"}]}',
+     "process 0: process name must be a non-empty string"),
+    (["simulate", "--stream", "line100_stream.csv"], "--faults",
+     '[{"process_name": "", "start_tick": 5, "end_tick": 9}]',
+     "window 0: process_name must be a non-empty string"),
+    (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
+     "--config", '{"population_size": 12, "tournament_size": 13}',
+     "tournament_size must be in [1, population_size]"),
+    (["optimize", "--prescribed", "prescribed_mixed10.json", "--bounds", "bounds.json"],
+     "--config", '{"mutation_sigma_fraction": 0}', "mutation_sigma_fraction must be in (0, 1]"),
+    # An integer beyond the float range is not a finite number.
+    (["plan", "--program", "programs/line100.json"], "--geometry",
+     '{"f": 1%s, "e": 100, "rf": 150, "re": 350}' % ("0" * 400), "f must be a finite number"),
+    (["plan", "--geometry", "g0.json"], "--program",
+     '{"contours": [{"start": [50, 0], "z_plane": -300, "segments": [{"type": "arc", '
+     '"end": [50, 0], "center": [0, 0], "direction": "clockwise"}]}]}',
+     "arc direction must be 'cw' or 'ccw', got 'clockwise'"),
+    (["simulate"], "--stream", "", "is empty"),
 ])
 def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
                                                base, flag, content, field):
@@ -475,7 +506,7 @@ def test_malformed_input_file_is_a_usage_error(capsys, fixtures_dir, tmp_path,
     assert app(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("ValueError: ")
+    assert captured.err.startswith("InvalidStream: " if flag == "--stream" else "ValueError: ")
     assert str(bad) in captured.err
     assert field in captured.err
 
@@ -568,10 +599,10 @@ COMMANDS = {
                         0, {"stdout": ["status=complete"]})],
     "crlf_stream": trip("{tmp}/crlf.csv"),
     "underscore_stream": trip("{tmp}/underscore.csv"),
-    "header_only_stream": [("simulate --stream {tmp}/header.csv --out {tmp}/trace.txt", 1,
+    "header_only_stream": [("simulate --stream {tmp}/header.csv --out {tmp}/trace.txt", 2,
                             {"stderr": ["InvalidStream: stream file {tmp}/header.csv "
                                         "has no samples"]})],
-    "nan_stream": [("simulate --stream {tmp}/nan.csv --out {tmp}/trace.txt", 1,
+    "nan_stream": [("simulate --stream {tmp}/nan.csv --out {tmp}/trace.txt", 2,
                     {"stderr": ["InvalidStream: stream file {tmp}/nan.csv: line 5: "
                                 "t must be finite, got nan"]})],
     # The golden streams fit in one block of STREAM_BLOCK_ROWS (2,048)

@@ -86,6 +86,15 @@ def test_fault_window_validation():
     assert oracles.covers(w, 3) and oracles.covers(w, 7) and not oracles.covers(w, 8)
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: WatchdogConfig(processes=[42]), "processes must be ProcessSpec instances"),
+    (lambda: FaultScript(windows=[42]), "windows must be FaultWindow instances"),
+])
+def test_value_types_refuse_members_of_another_type(build, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        build()
+
+
 def test_nominal_run_completes():
     stream = make_stream(59)
     result = simulate(stream)
@@ -229,6 +238,21 @@ def test_read_trace_names_the_file_on_bad_events(tmp_path):
     path = tmp_path / "trace.txt"
     path.write_text("0\tlaser_off\tlaser\tlaser disabled\n5\tbogus\t\t\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"trace file {path}: line 2: ") + ".*bogus"):
+        read_trace(path)
+
+
+def test_read_trace_skips_blank_lines(tmp_path):
+    line = "0\tlaser_off\tlaser\tlaser disabled\n"
+    path = tmp_path / "trace.txt"
+    path.write_text("\n" + line + "\n\n" + line, encoding="utf-8")
+    assert read_trace(path) == (TraceEvent(0, "laser_off", "laser", "laser disabled"),) * 2
+
+
+def test_read_trace_refuses_a_line_with_three_fields(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("0\tlaser_off\tlaser\tlaser disabled\n5\tlaser_off\tlaser\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"trace file {path}: line 2 has 3 fields")):
         read_trace(path)
 
 

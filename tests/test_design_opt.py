@@ -99,6 +99,15 @@ def test_default_hyperparameters():
     assert cfg.size_penalty_weight == 0.05
 
 
+def test_run_ga_where_nothing_assembles_has_no_best():
+    # r_e stays below |a + r_f - b| everywhere within these bounds.
+    bounds = DesignBounds(f=(500.0, 600.0), e=(40.0, 50.0), r_f=(300.0, 400.0),
+                          r_e=(10.0, 20.0))
+    result = run_ga(bounds, small_points(), small_config())
+    assert result.best is None and result.best_fitness == INFEASIBLE
+    assert result.to_dict()["best"] is None
+
+
 def test_unassemblable_genome_scores_sentinel():
     pts = small_points()
     value = candidate_fitness([400.0, 60.0, 200.0, 100.0], pts, 0.05, small_bounds())

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -292,6 +293,18 @@ def test_csv_rejects_bad_laser_flag(tmp_path, g0):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(InvalidStream, match="laser"):
         read_stream_csv(path)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Contour(start=(0.0, 0.0), z_plane=-300.0, segments=[42]),
+     "unsupported segment type int"),
+    (lambda: CutProgram(contours=[42]), "contours must be Contour instances"),
+    (lambda: SetpointStream(t=[], poses=np.empty((0, 3)), joints=np.empty((0, 3)), laser=[]),
+     "stream has no samples"),
+])
+def test_value_types_refuse_what_they_cannot_hold(build, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        build()
 
 
 def test_stream_requires_increasing_time():
@@ -880,8 +893,8 @@ def mib_stream(end, x_end, after_x=""):
 
 
 def test_a_crlf_split_across_the_line_count_chunks(tmp_path):
-    # The line-end count reads 1 MiB chunks: this \r ends the first, its \n
-    # starts the second.
+    # The pre-pass reads 1 MiB chunks: this \r ends the first, its \n starts
+    # the second, and both readers must see one line end.
     text = mib_stream("\r\n", 2**20 - 1 - len(ROW_TAIL) - 1)
     assert text[2**20 - 1:2**20 + 1] == "\r\n"
     # The same bytes, then with "2.0" on the first row spelled "2_0", which

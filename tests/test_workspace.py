@@ -114,6 +114,16 @@ def test_vector_scan_agrees_with_scalar_solver(g0):
         assert bool(flags[i]) == want
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda g0: WorkspaceGrid(spec=GridSpec(**_BOUNDS), occupancy=np.zeros((1, 1, 2), np.uint8)),
+     "occupancy must be bool with shape (1, 1, 2), got uint8 (1, 1, 2)"),
+    (lambda g0: is_reachable_many(g0, np.zeros(3)), "points must be an (n, 3) array"),
+])
+def test_arrays_of_the_wrong_kind_are_refused(g0, call, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call(g0)
+
+
 def test_coverage_matches_fixture(g0):
     record = load_fixture("prescribed_mixed10.json")
     prescribed = PrescribedWorkspace(points=np.array(record["points"]))
@@ -274,8 +284,9 @@ def test_load_grid_reads_crlf_line_endings(tmp_path, g0):
     (lambda d: d.replace(b"\n101\n", b"\n1010\n", 1), "bad row at z=0 y=0"),
     (lambda d: d.replace(b"\n001\n", b"\n01\n", 1), "bad row at z=0 y=1"),
     (lambda d: d.replace(b"\n010\n", b"\n0x0\n", 1), "bad row at z=1 y=1"),
+    (lambda d: d[:d.index(b"\n")], "bad row at z=0 y=0"),
 ], ids=["no-final-newline", "last-row-missing", "header-only", "blank-line-after",
-        "row-after", "long-row", "short-row", "bad-digit"])
+        "row-after", "long-row", "short-row", "bad-digit", "header-without-newline"])
 def test_load_grid_rejects_bodies_of_the_wrong_shape(tmp_path, g0, edit, error):
     _, path, data = _dump_bytes(tmp_path, g0)
     path.write_bytes(edit(data))
@@ -295,8 +306,14 @@ _HEAD = {"format": "deltacut-grid", "version": 1, "dims": [2, 1, 1]}
     {**_HEAD, "bounds": {"x_min": 0.0}},
     {**_HEAD, "bounds": {**_BOUNDS, "resolution": 0.0}},
     {**_HEAD, "bounds": {**_BOUNDS, "x_min": -1e308, "x_max": 1e308}},
+    {**_HEAD, "bounds": _BOUNDS, "dims": [1, 2, 1]},
+    {**_HEAD, "bounds": _BOUNDS, "version": True},
+    {**_HEAD, "bounds": _BOUNDS, "version": 1.0},
+    {**_HEAD, "bounds": _BOUNDS, "dims": [2.0, 1.0, 1.0]},
+    {**_HEAD, "bounds": _BOUNDS, "colour": "red"},
 ], ids=["no-bounds", "list-header", "list-bounds", "missing-bound", "zero-resolution",
-        "overflowing-span"])
+        "overflowing-span", "dims-disagree", "bool-version", "float-version", "float-dims",
+        "unknown-key"])
 def test_load_grid_rejects_malformed_headers(tmp_path, header):
     path = tmp_path / "grid.txt"
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n01\n")
