@@ -7,6 +7,8 @@ the x = 0 plane, and the platform joint for the arm is the pose shifted by
 plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics steps from the
 circumcentre of the three shifted forearm sphere centres along their normal.
+forward_kinematics_many is its only body, for one triple or an (n, 3) array,
+and flags FK_FAILURES as _arm_kernel flags REASONS.
 
 _arm_kernel is the only place that solves an arm.  Its first stage,
 _plane_cut, reads only x and y; the kernel is handed that cut and z, so a
@@ -78,6 +80,11 @@ REASONS = (
     "knee circle does not meet the forearm circle",
     "knee angle outside the canonical branch",
 )
+
+# Forward kinematics' failures, in the order forward_kinematics_many flags them.
+FK_FAILURES = ((Singular, "shifted sphere centres are collinear or coincident"),
+               (NoSolution, "forearm spheres share no common point"),
+               (NoSolution, "assembly point does not lie below the base plane"))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -322,20 +329,23 @@ def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
     return joints, ~bad
 
 
-def _dot(p, q) -> float:
+def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _cross(p, q) -> tuple[float, float, float]:
+def _cross(p, q):
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
 
 
-def forward_kinematics(geometry: RobotGeometry, joints: JointAngles) -> Pose:
-    """Effector pose for the joint angles; the below-base assembly branch.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def forward_kinematics_many(geometry: RobotGeometry, joints: np.ndarray):
+    """Effector poses for an (n, 3) array of joint angles, or for one (3,) triple.
 
     The forearm spheres, shifted by the effector offset, meet on the normal
     n of their centres' plane through its circumcentre, sqrt(r_e^2 - R^2)
-    either side, R the circumradius; the pose is the lower point.
+    either side, R the circumradius; the pose is the lower point.  Returns
+    (poses, flags): poses has joints' shape; flags holds a flag per row for
+    each entry of FK_FAILURES, and a row's pose means nothing where one is set.
     """
     # Exact scaling to units of 2^p ~ r_f + r_e, so no step over- or underflows:
     # every centre lies within 2 (r_f + r_e) of the axis, as |a - b| < r_f + r_e.
@@ -343,30 +353,35 @@ def forward_kinematics(geometry: RobotGeometry, joints: JointAngles) -> Pose:
     a, b, r_f, r_e = (math.ldexp(v, -p) for v in
                       (geometry.a, geometry.b, geometry.r_f, geometry.r_e))
     centers = []
-    for i, theta in enumerate(joints.as_tuple()):
-        t = a - b + r_f * math.cos(theta)
+    for i, theta in enumerate(joints.T):
+        t = a - b + r_f * np.cos(theta)
         # Arm-frame centre (0, -t, -r_f sin(theta)) rotated back to the world frame.
-        centers.append(((-t) * ARM_SIN[i], (-t) * ARM_COS[i], -r_f * math.sin(theta)))
+        centers.append(((-t) * ARM_SIN[i], (-t) * ARM_COS[i], -r_f * np.sin(theta)))
     c1, c2, c3 = centers
     u = [q - s for s, q in zip(c1, c2)]
     v = [q - s for s, q in zip(c1, c3)]
     n = _cross(u, v)
     uu, vv, nn2 = _dot(u, u), _dot(v, v), _dot(n, n)
-    un, vn, nn = math.sqrt(uu), math.sqrt(vv), math.sqrt(nn2)
+    un, vn, nn = np.sqrt(uu), np.sqrt(vv), np.sqrt(nn2)
     # Coincidence is judged against the forearm length, collinearity against
     # the centre spacing; both at the same relative tolerance.
-    if un < RANK_TOL * r_e or vn < RANK_TOL * r_e or nn < RANK_TOL * un * vn:
-        raise Singular("shifted sphere centres are collinear or coincident")
+    singular = (un < RANK_TOL * r_e) | (vn < RANK_TOL * r_e) | (nn < RANK_TOL * un * vn)
 
     # The circumcentre, less c1: (|u|^2 v x n + |v|^2 n x u) / (2 |n|^2).
     w = [(uu * s + vv * q) / (2.0 * nn2) for s, q in zip(_cross(v, n), _cross(n, u))]
     disc = r_e * r_e - _dot(w, w)
-    if disc < -DISC_TOL_FRAC * (r_e * r_e):
-        raise NoSolution("forearm spheres share no common point")
-    step = math.sqrt(max(disc, 0.0)) / nn
-    if n[2] > 0.0:
-        step = -step
-    x, y, z = (math.ldexp(c + d + step * m, p) for c, d, m in zip(c1, w, n))
-    if not z < 0.0:
-        raise NoSolution("assembly point does not lie below the base plane")
-    return Pose(x, y, z)
+    step = np.sqrt(np.maximum(disc, 0.0)) / nn * (1.0 - 2.0 * (n[2] > 0.0))
+    x, y, z = (np.ldexp(c + d + step * m, p) for c, d, m in zip(c1, w, n))
+    no_point = disc < -DISC_TOL_FRAC * (r_e * r_e)
+    return np.array((x, y, z)).T, (singular, no_point, (z < 0.0) ^ True)
+
+
+def forward_kinematics(geometry: RobotGeometry, joints: JointAngles) -> Pose:
+    """Effector pose for the joint angles; the below-base assembly branch.
+
+    Raises the first of FK_FAILURES that forward_kinematics_many flags."""
+    pose, flags = forward_kinematics_many(geometry, np.array(joints.as_tuple()))
+    for (error, message), flag in zip(FK_FAILURES, flags):
+        if flag:
+            raise error(message)
+    return Pose(*pose.tolist())
