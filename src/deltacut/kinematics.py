@@ -258,6 +258,13 @@ def _arm_bounds(geometry, cut, scale2):
       angle of (dy, z) and cos(alpha) = t / r_f.  It enters the folded
       quadrant only through the knee straight above the pivot, so it is
       folded for dy < 0 inside the circle dy^2 + (z - r_f)^2 = rc2.
+
+    Rounding moves an end by at most err^2 = _BOUND_ROUNDING S^2 (1 + S^2 /
+    (r_f sqrt(rc2))) in z^2, so by err in z; S^2 = scale2.  The S^2 term
+    covers cancellation in d^2 near a tangency; the other, the blow-up as
+    rc2 -> 0: the kernel's h2 rounds by ulps of r_f S^2 / d, and at an end
+    moves with d^2 at the rate r_f rc / d^2.  The fold edge moves ~1e-13 mm
+    for FOLD_SLACK, and d B / r_f ~ 6e-8 S for _reach_verdict's knee slack B.
     """
     r_f = geometry.r_f
     _, rc2, dy, tol = cut
@@ -268,7 +275,6 @@ def _arm_bounds(geometry, cut, scale2):
     lo = _signed_sqrt((big - small) ** 2 - dy2)
     up = _signed_sqrt(rc2 - dy2)
     with np.errstate(divide="ignore"):
-        # Flat where rc2 is near 0, so the margin there spans the column.
         err = np.sqrt(_BOUND_ROUNDING * scale2 * (1.0 + scale2 / (r_f * np.sqrt(rc2))))
     np.maximum(lo, up - r_f, out=lo, where=dy < 0.0)
     return lo, hi, err

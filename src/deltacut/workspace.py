@@ -1,20 +1,17 @@
 """Reachable-workspace scans: dense boolean grids and point-set coverage.
 
 Reachability is always an exact per-point test; a grid only decides where
-the test runs (cell centres).  Both scans and coverage decide most points
-below the base plane from the closed forms of an arm's reach in kinematics,
-and run the one arm kernel that scalar inverse kinematics also runs on the
-points at or above the plane and where those forms are within rounding of a
-verdict change.  A grid scan cuts each column's arm planes once
-(kinematics._plane_cut), decides the interior of each column's reachable
-run, and the cells far outside it, from closed-form z-bounds on that cut
-(kinematics._arm_bounds), and hands the kernel (kinematics._reachable) the
-bands about the run ends with their columns' cuts.  Coverage decides each
+the test runs (cell centres).  Scans and coverage decide most points below
+the base plane from closed forms of an arm's reach in kinematics, and run
+the arm kernel of scalar inverse kinematics on the rest: the points at or
+above the plane and those within the forms' rounding of a verdict change.
+A grid scan fills each column's run from closed-form z-bounds
+(kinematics._arm_bounds) and hands the kernel (kinematics._reachable) the
+cells within their rounding bound err of a run end.  Coverage decides each
 geometry x point pair by kinematics._reach_verdict and hands the kernel
 (kinematics.reachable_mask) whole each block where the verdict leaves a
-pair open.  So a scan equals a kernel call on every cell bit for bit,
-coverage counts are the kernel's own, and grid scans, coverage fractions
-and kinematics.is_reachable never disagree on a point.
+pair open.  So a scan equals a kernel call on every cell bit for bit, and
+scans, coverage counts and kinematics.is_reachable never disagree.
 """
 
 from __future__ import annotations
@@ -173,15 +170,14 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     that cut.  Along each column every arm reaches one z-interval below the
     base plane, in closed form (kinematics._arm_bounds), so the column's
     reachable cells below the plane are at most one run.  A cell below
-    z = -kinematics._TINY further than a margin inside every arm's interval
-    is True, and one further than the margin outside some arm's interval is
-    False.  The margin is at least one cell and covers the rounding of the
-    bounds and of the kernel, so those verdicts are the kernel's own.  The
-    kernel decides the cells left, the bands about the run ends and every
-    cell from z = -_TINY up, in blocks of at most SLAB_CELLS cells; a column
-    whose margin is not finite, near a tangent plane cut, runs through it
-    whole.  The flags therefore equal a kernel call on every cell bit for
-    bit, and peak memory is the occupancy plus a fixed tile's temporaries.
+    z = -kinematics._TINY further than err, the bounds' rounding bound (about
+    5e-3 mm on g0), inside every arm's interval is True, and one further
+    than err outside some arm's interval is False: the kernel's own verdicts.
+    The kernel decides the rest, in blocks of at most SLAB_CELLS cells: the
+    cells within err of a run end, every cell from z = -_TINY up, and whole
+    each column whose err is not finite, near a tangent plane cut.  So the
+    flags equal a kernel call on every cell bit for bit, and peak memory is
+    the occupancy plus a fixed tile's temporaries.
     """
     nx, ny, nz = spec.dims
     x = spec.axis_centers("x")
@@ -193,8 +189,7 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
     diff = occupancy.view(np.int8)
     # The closed forms decide only cells below the base plane; the kernel the rest.
     below = int(np.searchsorted(z, -_TINY, "left"))
-    # Link lengths, offsets and the largest |coordinate| the kernel meets
-    # bound the terms it rounds.
+    # _arm_bounds' length scale S: links, offsets and the largest |coordinate|.
     extent = (geometry.r_f + geometry.r_e + abs(geometry.a) + abs(geometry.b)
               + sum(max(abs(c[0]), abs(c[-1])) for c in (x, y, z)))
     for _, ys, xs in _blocks(nx, ny, 1):
@@ -208,9 +203,8 @@ def compute_workspace(geometry: RobotGeometry, spec: GridSpec) -> WorkspaceGrid:
         # Every arm must reach a cell: the intervals intersect, -z in [lo, hi].
         lo, hi, err = (functools.reduce(op, arms)
                        for op, arms in zip((np.maximum, np.minimum, np.maximum), per_arm))
-        margin = np.maximum(err, spec.resolution)
-        whole = ~np.isfinite(lo + hi + margin)
-        u0, c0, c1, u1 = _run_indices(z, -hi, -lo, margin, whole, below)
+        whole = ~np.isfinite(lo + hi + err)
+        u0, c0, c1, u1 = _run_indices(z, -hi, -lo, err, whole, below)
         tile = diff[:, ys, xs]
         has = c0 < c1
         tile[c0[has], iy[has], ix[has]] += 1

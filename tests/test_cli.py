@@ -579,11 +579,16 @@ COMMANDS = {
     "plane_scan": [("workspace --geometry {fx}/g0.json --bounds -300 300 -300 300 -550 50 "
                     "--resolution 10 --out {tmp}/grid.txt", 0,
                     {"stdout": ["cells=83762", "total=216000"]})],
-    # The 6 mm default scan runs it on its band cells and on its top layer,
-    # centred at z = +1 mm.
+    # The 6 mm default scan runs it on its top layer, centred at z = +1 mm,
+    # and on the cells within the closed forms' rounding bound of a run end.
     "default_scan": [("workspace --geometry {fx}/g0.json --resolution 6 "
                       "--prescribed {tmp}/open_pairs.json --out {tmp}/grid.txt", 0,
                       {"stdout": ["cells=450406", "total=3360000", "coverage=0.5"]})],
+    # Each of the 6,400 columns of this 0.5 mm box holds a run end, so cell
+    # centres sit a fraction of a cell from one; 178 are within that bound.
+    "fine_scan": [("workspace --geometry {fx}/g0.json --bounds -20 20 -20 20 -500 -485 "
+                   "--resolution 0.5 --out {tmp}/grid.txt", 0,
+                   {"stdout": ["cells=102106", "total=192000"]})],
     "ga_small": [("optimize --bounds {fx}/bounds.json --prescribed {fx}/recovery_points.json "
                   "--config {fx}/ga_small.json --out {tmp}/ga.json", 0,
                   {"out": "ga_small_result.json"})],
