@@ -7,8 +7,9 @@ the x = 0 plane, and the platform joint for the arm is the pose shifted by
 plane, then intersects the resulting circle with the knee circle and keeps
 the knee with the smaller y (elbow out).  Forward kinematics steps from the
 circumcentre of the three shifted forearm sphere centres along their normal.
-forward_kinematics_many is its only body, for one triple or an (n, 3) array,
-and flags FK_FAILURES as _arm_kernel flags REASONS.
+inverse_kinematics_many and forward_kinematics_many are the only bodies, for
+one (3,) triple or an (n, 3) array; IK flags REASONS per arm as _arm_kernel
+does, FK flags FK_FAILURES, and the scalar calls raise the first flag.
 
 _arm_kernel is the only place that solves an arm.  Its first stage,
 _plane_cut, reads only x and y; the kernel is handed that cut and z, so a
@@ -280,16 +281,32 @@ def _arm_bounds(geometry, cut, scale2):
     return lo, hi, err
 
 
-def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
-    """Joint angles reaching the pose; raises Unreachable naming the arm."""
-    thetas = []
+def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
+    """Joint angles for an (n, 3) array of poses, or for one (3,) pose.
+
+    Returns (joints, flags): joints has points' shape; flags holds, per arm,
+    the flags _arm_kernel returns, one per entry of REASONS, each a bool per
+    row.  A row's angles mean nothing where one of its flags is set.
+    """
+    x, y, z = points.T
+    joints, flags = np.empty((np.size(x), 3)), []
     for arm in (1, 2, 3):
-        cut = _plane_cut(geometry, pose.x, pose.y, arm)
-        flags, sin_c, cos_c = _arm_kernel(geometry, cut, pose.z)
-        if any(flags):
-            raise Unreachable(arm, REASONS[flags.index(True)])
-        thetas.append(math.atan2(sin_c, cos_c))
-    return JointAngles(*thetas)
+        arm_flags, sin_c, cos_c = _arm_kernel(geometry, _plane_cut(geometry, x, y, arm), z)
+        flags.append(arm_flags)
+        joints[:, arm - 1] = list(map(math.atan2, np.ravel(sin_c).tolist(),
+                                      np.ravel(cos_c).tolist()))
+    return joints.reshape(points.shape), tuple(flags)
+
+
+def inverse_kinematics(geometry: RobotGeometry, pose: Pose) -> JointAngles:
+    """Joint angles reaching the pose; raises Unreachable for the first arm
+    inverse_kinematics_many flags, naming that arm's first flagged reason."""
+    joints, flags = inverse_kinematics_many(geometry, np.array((pose.x, pose.y, pose.z)))
+    flat = flags[0] + flags[1] + flags[2]
+    if any(flat):
+        arm, reason = divmod(flat.index(True), len(REASONS))
+        raise Unreachable(arm + 1, REASONS[reason])
+    return JointAngles(*joints.tolist())
 
 
 def is_reachable(geometry: RobotGeometry, pose: Pose) -> bool:
@@ -316,23 +333,6 @@ def _reachable(geometry, cuts, z) -> np.ndarray:
         flags, *kept = _arm_kernel(geometry, cut, z)
         bad = bad | flags[0] | flags[1] | flags[2] | flags[3]
     return ~bad
-
-
-def inverse_kinematics_many(geometry: RobotGeometry, points: np.ndarray):
-    """Joint angles for an (n, 3) array of poses, and a reachable flag per pose.
-
-    Rows of reachable poses equal inverse_kinematics bit for bit; the other
-    rows hold no meaningful angles.
-    """
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    joints = np.empty(points.shape, dtype=np.float64)
-    bad = np.zeros(points.shape[0], dtype=bool)
-    for arm in (1, 2, 3):
-        cut = _plane_cut(geometry, x, y, arm)
-        flags, sin_c, cos_c = _arm_kernel(geometry, cut, z)
-        bad |= flags[0] | flags[1] | flags[2] | flags[3]
-        joints[:, arm - 1] = list(map(math.atan2, sin_c.tolist(), cos_c.tolist()))
-    return joints, ~bad
 
 
 def _dot(p, q):

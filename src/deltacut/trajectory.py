@@ -13,7 +13,8 @@ plan_program refuses a program that needs more than SAMPLE_BUDGET samples
 before it allocates any, fixes each motion's first and last sample, then
 samples and solves STREAM_BLOCK_ROWS samples at a time with array code, into
 the stream's preallocated arrays; validate_stream audits a stream in blocks
-of the same size.  Beyond the stream, neither allocates per sample.
+of the same size.  Both read reachability from batch IK's per-arm flags.
+Beyond the stream, neither allocates per sample.
 
 write_stream_csv formats STREAM_BLOCK_ROWS rows at a time in array code,
 byte for byte as "%.17g" would: each value is scaled by a power of ten in
@@ -38,10 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample, Unreachable,
+from .errors import (EmptyProgram, InvalidFeed, InvalidStream, UnreachableSample,
                      as_list, as_number, fields, naming, read_json)
 from .geometry import Pose, RobotGeometry
-from .kinematics import inverse_kinematics, inverse_kinematics_many
+# inverse_kinematics stays importable from here: perfbench/worker.py traces the name.
+from .kinematics import inverse_kinematics, inverse_kinematics_many  # noqa: F401
 
 _CSV_HEADER = ("t", "x", "y", "z", "theta1", "theta2", "theta3", "laser")
 # One stream CSV row as np.loadtxt parses it: t, the pose and the joints,
@@ -361,16 +363,12 @@ def plan_program(
         t[s + end] = starts[of[end]] * tick + m.total_time[end]
         block[end] = np.column_stack((m.x1[end], m.y1[end], m.z1[end]))
         laser[s:e] = m.laser_on != 0.0
-        joints[s:e], reachable = inverse_kinematics_many(geometry, block)
-        if not reachable.all():
-            # The scalar solver shares the kernel, so it fails here too and
-            # names the arm and the reason.
-            i = int(np.argmin(reachable))
-            pose = Pose(*block[i].tolist())
-            try:
-                inverse_kinematics(geometry, pose)
-            except Unreachable as exc:
-                raise UnreachableSample(float(t[s + i]), pose, exc.arm_index) from exc
+        joints[s:e], flags = inverse_kinematics_many(geometry, block)
+        # Rows are samples, columns arms; name the first failing sample's first arm.
+        bad = np.array([f[0] | f[1] | f[2] | f[3] for f in flags]).T
+        if bad.any():
+            i, arm = divmod(int(np.argmax(bad)), 3)
+            raise UnreachableSample(float(t[s + i]), Pose(*block[i].tolist()), arm + 1)
     return SetpointStream(t=t, poses=poses, joints=joints, laser=laser)
 
 
@@ -431,7 +429,9 @@ def validate_stream(
         speed = _norms(vel[:e - s])
         accel = _norms(np.diff(vel, axis=0) / ((t[2:] - t[:-2]) / 2.0)[:, None])
         step = _row_max(np.abs(np.diff(stream.joints[s:e + 1], axis=0)))
-        joints, reachable = inverse_kinematics_many(geometry, stream.poses[s:e])
+        joints, flags = inverse_kinematics_many(geometry, stream.poses[s:e])
+        bad = [f[0] | f[1] | f[2] | f[3] for f in flags]
+        reachable = ~(bad[0] | bad[1] | bad[2])
         res = np.where(reachable, _row_max(np.abs(joints - stream.joints[s:e])), 0.0)
         peaks.append((speed.max(initial=0.0), accel.max(initial=0.0),
                       step.max(initial=0.0), res.max()))

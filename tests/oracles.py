@@ -59,6 +59,11 @@ pair verdict: the kernel tests every geometry x point pair, in blocks of at
 most PAIR_BUDGET pairs.  The package decides most pairs in closed form and
 runs the kernel only on the pairs within the verdict's margin.
 
+inverse_kinematics_arms is scalar inverse kinematics as it ran with an arm
+loop of its own: each arm's plane cut and kernel on the pose's Python floats
+in turn, raising at the first flagged arm.  The package runs batch inverse
+kinematics on the (3,) pose and reads the first flag it returns.
+
 fk_planes is forward kinematics as it ran before the circumcentre solve:
 pairwise sphere subtraction gives two planes, a third row pins the point of
 their line in the centres' plane, and Cramer's rule solves the 3 x 3
@@ -105,8 +110,9 @@ from deltacut.kinematics import (
     ARM_SIN,
     DISC_TOL_FRAC,
     RANK_TOL,
+    REASONS,
+    _arm_kernel,
     _plane_cut,
-    inverse_kinematics,
     inverse_kinematics_many,
     reachable_mask,
 )
@@ -562,14 +568,16 @@ def plan_samples(geometry, program, limits: MachineLimits | None = None) -> Setp
         prev_end_t = end_t
 
     pose_array = np.array(poses, dtype=np.float64)
-    joints, reachable = inverse_kinematics_many(geometry, pose_array)
-    if not reachable.all():
-        i = int(np.argmin(reachable))
+    joints, flags = inverse_kinematics_many(geometry, pose_array)
+    unreachable = np.any(flags, axis=(0, 1))
+    if unreachable.any():
+        i = int(np.argmax(unreachable))
         pose = Pose(*poses[i])
         try:
-            inverse_kinematics(geometry, pose)
+            inverse_kinematics_arms(geometry, pose)
         except Unreachable as exc:
             raise UnreachableSample(times[i], pose, exc.arm_index) from exc
+        raise AssertionError(f"batch IK flags {pose}, which the reference solves")
 
     return SetpointStream(
         t=np.array(times, dtype=np.float64),
@@ -640,14 +648,16 @@ def plan_one_pass(geometry, program, limits: MachineLimits | None = None) -> Set
     """plan_program with every sample's temporaries built at once."""
     lim = limits if limits is not None else MachineLimits()
     t, pose_array, laser = _sample_one_pass(build_motions(program, lim), lim.tick)
-    joints, reachable = inverse_kinematics_many(geometry, pose_array)
-    if not reachable.all():
-        i = int(np.argmin(reachable))
+    joints, flags = inverse_kinematics_many(geometry, pose_array)
+    unreachable = np.any(flags, axis=(0, 1))
+    if unreachable.any():
+        i = int(np.argmax(unreachable))
         pose = Pose(*pose_array[i].tolist())
         try:
-            inverse_kinematics(geometry, pose)
+            inverse_kinematics_arms(geometry, pose)
         except Unreachable as exc:
             raise UnreachableSample(float(t[i]), pose, exc.arm_index) from exc
+        raise AssertionError(f"batch IK flags {pose}, which the reference solves")
     return SetpointStream(t=t, poses=pose_array, joints=joints, laser=laser)
 
 
@@ -722,7 +732,8 @@ def validate_one_pass(geometry, stream: SetpointStream,
     dj = np.abs(np.diff(stream.joints, axis=0)).max(axis=1) if len(stream) > 1 else np.zeros(0)
     max_joint_step = float(dj.max()) if dj.size else 0.0
 
-    joints, reachable = inverse_kinematics_many(geometry, p)
+    joints, flags = inverse_kinematics_many(geometry, p)
+    reachable = ~np.any(flags, axis=(0, 1))
     res = np.where(reachable, np.abs(joints - stream.joints).max(axis=1), 0.0)
     max_res = float(res.max())
     for i in np.nonzero(~reachable)[0]:
@@ -974,6 +985,19 @@ def arm_kernel_selects(geometry, x, y, z, arm_index: int, sqrt, select):
     folded = select(sin_c < 0.0, cos_c <= -slack * sin_c,
                     select(cos_c < 0.0, sin_c <= -slack * cos_c, (sin_c == 0.0) & (cos_c == 0.0)))
     return (plane_miss, coincident, knee_miss, folded), sin_c, cos_c
+
+
+def inverse_kinematics_arms(geometry: RobotGeometry, pose: Pose) -> JointAngles:
+    """kinematics.inverse_kinematics as it ran with an arm loop of its own;
+    raises Unreachable naming the first flagged arm and its first reason."""
+    thetas = []
+    for arm in (1, 2, 3):
+        cut = _plane_cut(geometry, pose.x, pose.y, arm)
+        flags, sin_c, cos_c = _arm_kernel(geometry, cut, pose.z)
+        if any(flags):
+            raise Unreachable(arm, REASONS[flags.index(True)])
+        thetas.append(math.atan2(sin_c, cos_c))
+    return JointAngles(*thetas)
 
 
 def _det3(r0, r1, r2) -> float:

@@ -552,6 +552,12 @@ def fk_argv(thetas) -> str:
     return "fk --geometry {tmp}/fk_geometry.json -- " + " ".join(map(repr, thetas))
 
 
+def ik_unreachable(pose, message):
+    """deltacut ik of a g0 pose it cannot reach: exit 1, naming arm and reason."""
+    return [("ik --geometry {fx}/g0.json -- " + pose, 1,
+             {"stderr": ["Unreachable: " + message]})]
+
+
 def trip(stream):
     """simulate of a copy of line100_stream.csv under the motion fault, which
     stops it at its tick 25 with the golden trace."""
@@ -623,6 +629,19 @@ COMMANDS = {
         "Singular: shifted sphere centres are collinear or coincident"]})],
     "fk_no_solution": [(fk_argv(FK_GOLDEN["no_solution"]), 1, {"stderr": [
         "NoSolution: forearm spheres share no common point"]})],
+    # One pose per entry of kinematics.REASONS, and two on arms 2 and 3.
+    "ik_plane": ik_unreachable("1000 0 -300",
+                               "arm 1: forearm sphere does not reach the arm plane"),
+    "ik_coincident": ik_unreachable("0 -70 0",
+                                    "arm 1: platform joint coincides with the arm pivot"),
+    "ik_knee_circle": ik_unreachable("0 0 -800",
+                                     "arm 1: knee circle does not meet the forearm circle"),
+    "ik_knee_angle": ik_unreachable("-223 -224 -66",
+                                    "arm 1: knee angle outside the canonical branch"),
+    "ik_arm2_knee_circle": ik_unreachable("119 -288 -409",
+                                          "arm 2: knee circle does not meet the forearm circle"),
+    "ik_arm3_knee_angle": ik_unreachable("112 -288 224",
+                                         "arm 3: knee angle outside the canonical branch"),
 }
 
 

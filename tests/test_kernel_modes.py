@@ -47,8 +47,8 @@ from deltacut import (
 )
 from deltacut import design_opt, kinematics, workspace
 from deltacut.design_opt import population_fitness
-from deltacut.kinematics import (_arm_kernel, _plane_cut, _reachable, inverse_kinematics_many,
-                                 reachable_mask)
+from deltacut.kinematics import (_arm_kernel, _plane_cut, _reachable, forward_kinematics_many,
+                                 inverse_kinematics_many, reachable_mask)
 import oracles
 from oracles import arm_kernel_selects, pick, scan_live_columns
 
@@ -102,8 +102,8 @@ def test_scalar_and_array_reachability_agree(geometry, points):
 @settings(max_examples=150, deadline=None)
 @given(geometry=any_geometry, points=pose_lists)
 def test_batch_angles_equal_scalar_angles(geometry, points):
-    joints, reachable = inverse_kinematics_many(geometry, np.array(points, dtype=np.float64))
-    for row, ok, p in zip(joints, reachable, points):
+    joints, flags = inverse_kinematics_many(geometry, np.array(points, dtype=np.float64))
+    for row, ok, p in zip(joints, ~np.any(flags, axis=(0, 1)), points):
         try:
             want = inverse_kinematics(geometry, Pose(*p)).as_tuple()
         except Unreachable:
@@ -138,6 +138,35 @@ def test_poses_near_the_joint_range_ends_solve_or_are_unreachable(geometry, thet
         solved = False
     assert is_reachable(geometry, pose) is solved
     assert is_reachable_many(geometry, np.array([[pose.x, pose.y, pose.z]])).tolist() == [solved]
+
+
+@settings(max_examples=150, deadline=None)
+@given(geometry=any_geometry, points=pose_lists,
+       ends=st.lists(st.tuples(end_angles, joint_angles, joint_angles).flatmap(st.permutations),
+                     max_size=4))
+def test_batch_flags_name_the_reference_failure(geometry, points, ends):
+    """Each row's first flag, in (arm, reason) order, is the failure the
+    scalar arm loop raises, and each pose alone gives its row bit for bit."""
+    if ends:
+        at_ends, failed = forward_kinematics_many(geometry, np.array(ends))
+        points = points + at_ends[~np.any(failed, axis=0)].tolist()
+    array = np.array(points, dtype=np.float64)
+    joints, flags = inverse_kinematics_many(geometry, array)
+    flags = np.array(flags)  # (arm, reason, row)
+    for i, p in enumerate(points):
+        one, one_flags = inverse_kinematics_many(geometry, array[i])
+        assert one.shape == (3,)
+        assert bits(one) == bits(joints[i])
+        assert np.array(one_flags).tolist() == flags[:, :, i].tolist()
+        try:
+            want = oracles.inverse_kinematics_arms(geometry, Pose(*p)).as_tuple()
+        except Unreachable as exc:
+            assert flags[:, :, i].any()
+            arm, reason = divmod(int(np.argmax(flags[:, :, i])), len(kinematics.REASONS))
+            assert (arm + 1, kinematics.REASONS[reason]) == (exc.arm_index, exc.reason)
+            continue
+        assert not flags[:, :, i].any()
+        assert bits(joints[i]) == bits(want)
 
 
 Links = namedtuple("Links", "a b r_f r_e")
@@ -483,7 +512,7 @@ def programs(draw, geometry):
 def _samples(program):
     """Sample times and poses; they do not depend on the geometry."""
     def all_reachable(geometry, points):
-        return np.zeros(points.shape), np.ones(points.shape[0], dtype=bool)
+        return np.zeros(points.shape), ((np.zeros(points.shape[0], dtype=bool),) * 4,) * 3
 
     with mock.patch.object(trajectory, "inverse_kinematics_many", all_reachable):
         stream = plan_program(G0, program)
